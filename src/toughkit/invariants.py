@@ -3,7 +3,9 @@ induced stars, cut-set utilities.
 
 Toughness of a connected non-complete graph is min |S| / c(G - S) over all
 cut-sets S, computed here with exact rationals throughout.  The optimized
-solver prunes by connectivity, independence number and a running best; the
+solver finds the value either by a frontier DP with Dinkelbach iteration or
+by a subset sweep pruned by connectivity, independence number and a running
+best, whichever its work estimate says is cheaper for the input.  The
 oracle walks every subset with none of that and exists only to gate the
 solver.  Both report the same witness: the minimizing cut-set with the
 smallest bitmask value (ties beyond that cannot occur).
@@ -15,6 +17,7 @@ import multiprocessing
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 from .graphs import EnvelopeError, Graph, VertexSet, bits, components, mask_of
 
@@ -163,8 +166,11 @@ def toughness(g: Graph, workers: int = 1):
     alpha, _ = independence_number(g)
     kappa = connectivity(g).kappa
     best_s, best_k = _isolation_seed(g)
-    best_s, best_k = _sweep_value(g, kappa, alpha, best_s, best_k, workers)
-    value = Fraction(best_s, best_k)
+    steps = _dp_steps(g, max(1, kappa), alpha, best_s, best_k)
+    found = None if steps is None else _dinkelbach(steps, best_s, best_k)
+    if found is None:
+        found = _sweep_value(g, kappa, alpha, best_s, best_k, workers)
+    value = Fraction(*found)
     witness = _lex_min_witness(g, value, alpha)
     return ToughnessCertificate(value, witness, len(components(g, witness)))
 
@@ -180,8 +186,23 @@ def _isolation_seed(g: Graph) -> tuple[int, int]:
         if k >= 2 and (best_k == 0 or cut.bit_count() * best_k < best_s * k):
             best_s, best_k = cut.bit_count(), k
     # connected non-complete: isolating some vertex always leaves >= 2 parts
-    assert best_k >= 2
+    if best_k < 2:
+        raise RuntimeError("no isolating cut-set in a connected non-complete graph")
     return best_s, best_k
+
+
+def _sweep_sizes(n: int, start: int, alpha: int, p: int, q: int):
+    """Cut-set sizes from ``start`` up that could still beat the ratio p/q.
+
+    Removing s vertices leaves at most min(n - s, alpha) components (one
+    independent vertex per component), so once s / that cap reaches p/q no
+    larger size can do better.
+    """
+    for s in range(start, n - 1):
+        kcap = min(n - s, alpha)
+        if kcap < 2 or s * q >= p * kcap:
+            return
+        yield s
 
 
 def _scan_size(adj: tuple[int, ...], n: int, s: int, best_s: int, best_k: int,
@@ -209,10 +230,8 @@ def _sweep_value(g: Graph, kappa: int, alpha: int, best_s: int, best_k: int,
                  workers: int) -> tuple[int, int]:
     """Size-major sweep for the optimal ratio.
 
-    Sound bounds: cut-sets are at least kappa large; removing s vertices
-    leaves at most min(n - s, alpha) components (one independent vertex per
-    component), so once s / that cap reaches the running best no larger size
-    can improve and the sweep stops.
+    Cut-sets are at least kappa large, and the sweep stops by the
+    ``_sweep_sizes`` bound, checked against the running best.
     """
     n, adj = g.n, g.adj
     pool = None
@@ -264,8 +283,150 @@ def _lex_min_witness(g: Graph, value: Fraction, alpha: int) -> VertexSet:
                 best = x
                 break
         j += 1
-    assert best is not None, "phase 1 established the value, a witness must exist"
+    if best is None:
+        raise RuntimeError(f"no cut-set attains the established toughness {value}")
     return best
+
+
+# ---------------------------------------------------------------------------
+# toughness, frontier DP
+#
+# Vertices are placed one at a time in a fixed order.  The frontier is the
+# placed vertices that still have unplaced neighbours; a DP state records, for
+# each frontier vertex, -1 when it is in the cut-set S or else the canonical id
+# of its block in the partition of the placed non-S vertices into partial
+# components, plus the count of closed components capped at 2.  At a fixed
+# ratio t = a/b the objective b*|S| - a*k(G - S) is additive over placements,
+# so each state carries its minimum together with that cut-set's (|S|, k).
+
+# Below this many subsets a sweep is too cheap to be worth an ordering.
+_DP_MIN_SWEEP_WORK = 1 << 12
+# Ceiling on live DP states; above it the sweep runs instead.
+_DP_MAX_STATES = 1 << 16
+
+
+def _frontier_plan(g: Graph) -> tuple[list[tuple], list[int]]:
+    """Greedy minimum-frontier vertex ordering, as DP steps and widths.
+
+    Each step places the unplaced vertex that leaves the smallest frontier,
+    breaking ties by most placed neighbours, then by vertex id.  A step is
+    (frontier positions of the new vertex's neighbours, positions of the
+    grown frontier that stay in it); the width is the frontier size after it.
+    """
+    n, adj = g.n, g.adj
+    placed = 0
+    front: list[int] = []
+    steps, widths = [], []
+    for _ in range(n):
+        front_mask = mask_of(front)
+        best = None
+        for v in range(n):
+            if placed >> v & 1:
+                continue
+            after = placed | 1 << v
+            done = sum(1 for u in bits(front_mask & adj[v] | 1 << v) if not adj[u] & ~after)
+            key = (len(front) + 1 - done, -(adj[v] & placed).bit_count(), v)
+            if best is None or key < best:
+                best = key
+        v = best[2]
+        placed |= 1 << v
+        grown = front + [v]
+        keep = tuple(i for i, u in enumerate(grown) if adj[u] & ~placed)
+        steps.append((tuple(i for i, u in enumerate(front) if adj[v] >> u & 1), keep))
+        front = [grown[i] for i in keep]
+        widths.append(len(front))
+    return steps, widths
+
+
+def _bell_numbers(top: int) -> list[int]:
+    """Bell numbers B_0..B_top by the Bell triangle."""
+    out, row = [1], [1]
+    for _ in range(top):
+        nxt = [row[-1]]
+        for x in row:
+            nxt.append(nxt[-1] + x)
+        row = nxt
+        out.append(row[0])
+    return out
+
+
+def _dp_steps(g: Graph, start: int, alpha: int, p: int, q: int) -> list[tuple] | None:
+    """Frontier-DP steps when the DP is estimated cheaper than the sweep.
+
+    The sweep's work is the number of subsets of the sizes ``_sweep_sizes``
+    allows at ratio p/q; the DP's is at most 3 * Bell(w + 1) states per step
+    of frontier width w.  None means the sweep should run.
+    """
+    sweep = sum(comb(g.n, s) for s in _sweep_sizes(g.n, start, alpha, p, q))
+    if sweep < _DP_MIN_SWEEP_WORK:
+        return None
+    steps, widths = _frontier_plan(g)
+    bell = _bell_numbers(max(widths) + 1)
+    return steps if sum(3 * bell[w + 1] for w in widths) < sweep else None
+
+
+def _place(labels: tuple, nbrs: tuple, keep: tuple, in_cut: bool) -> tuple[tuple, int]:
+    """Frontier labels after one placement, and the components it closed."""
+    if in_cut:
+        grown = labels + (-1,)
+    else:
+        merged = {labels[i] for i in nbrs if labels[i] >= 0}
+        fresh = len(labels)  # canonical ids are all below the frontier size
+        grown = tuple(fresh if x in merged else x for x in labels) + (fresh,)
+    kept = [grown[i] for i in keep]
+    closed = len({x for x in grown if x >= 0}.difference(kept))
+    rename: dict[int, int] = {}
+    return tuple(-1 if x < 0 else rename.setdefault(x, len(rename)) for x in kept), closed
+
+
+def _frontier_dp(steps: list[tuple], a: int, b: int) -> tuple[int, int, int] | None:
+    """Minimum of b*|S| - a*k(G - S) over cut-sets S, as (minimum, |S|, k).
+
+    Ties go to the smaller |S|, then the smaller k.  None when the live
+    states pass ``_DP_MAX_STATES``.
+    """
+    states = {((), 0): (0, 0, 0)}
+    for nbrs, keep in steps:
+        moves: dict[tuple, tuple] = {}
+        nxt: dict[tuple, tuple[int, int, int]] = {}
+        for (labels, capped), (val, s, k) in states.items():
+            pair = moves.get(labels)
+            if pair is None:
+                pair = moves[labels] = (_place(labels, nbrs, keep, True),
+                                        _place(labels, nbrs, keep, False))
+            for cut, (lab, closed) in zip((1, 0), pair):
+                key = (lab, min(2, capped + closed))
+                cand = (val + b * cut - a * closed, s + cut, k + closed)
+                old = nxt.get(key)
+                if old is None or cand < old:
+                    nxt[key] = cand
+        if len(nxt) > _DP_MAX_STATES:
+            return None
+        states = nxt
+    final = states.get(((), 2))
+    if final is None:
+        raise RuntimeError("frontier DP found no cut-set in a connected non-complete graph")
+    return final
+
+
+def _dinkelbach(steps: list[tuple], s: int, k: int) -> tuple[int, int] | None:
+    """Optimal (|S|, k) by Dinkelbach's iteration from a known cut-set (s, k).
+
+    At t = s/k the DP minimum is at most 0, because the known cut-set scores
+    0; a negative minimum names a cut-set of strictly smaller ratio to
+    re-solve at, and a zero minimum proves t optimal.  None when the DP
+    passes its state ceiling.
+    """
+    while True:
+        found = _frontier_dp(steps, s, k)
+        if found is None:
+            return None
+        val, s2, k2 = found
+        if val > 0:
+            raise RuntimeError(f"frontier DP missed the known cut-set of ratio {s}/{k}")
+        if val == 0:
+            return s, k
+        s, k = s2, k2
 
 
 # ---------------------------------------------------------------------------
@@ -364,12 +525,14 @@ def is_t_tough(g: Graph, t) -> tuple[bool, VertexSet | None]:
     p, q = t.numerator, t.denominator
     n, adj = g.n, g.adj
     alpha, _ = independence_number(g)
+    steps = _dp_steps(g, 1, alpha, p, q)
+    if steps is not None:
+        found = _frontier_dp(steps, p, q)
+        if found is not None and found[0] >= 0:
+            return True, None
     tables = _union_tables(adj, n)
     full = g.full_mask
-    for s in range(1, n - 1):
-        kcap = min(n - s, alpha)
-        if kcap < 2 or s * q >= p * kcap:
-            break
+    for s in _sweep_sizes(n, 1, alpha, p, q):
         for x in _subsets_of_size(n, s):
             k = _count_components(full & ~x, tables)
             if k >= 2 and s * q < p * k:
@@ -398,13 +561,13 @@ def connectivity(g: Graph) -> ConnectivityCertificate:
     pairs.extend(
         (x, y) for x, y in combinations(nbrs, 2) if not g.has_edge(x, y)
     )
-    flows = [(_max_flow_value(g, s, t), s, t) for s, t in pairs]
-    kappa = min(f for f, _, _ in flows)
-    for f, s, t in flows:
-        if f == kappa:
-            witness = _min_cut_vertices(g, s, t)
-            break
-    return ConnectivityCertificate(kappa, witness)
+    best = None
+    for s, t in pairs:
+        flow, residual = _run_flow(g, s, t)
+        if best is None or flow < best[0]:
+            best = (flow, s, residual)
+    kappa, s, residual = best
+    return ConnectivityCertificate(kappa, _min_cut_vertices(g, s, kappa, residual))
 
 
 def _build_capacity(g: Graph) -> list[list[int]]:
@@ -455,12 +618,8 @@ def _run_flow(g: Graph, s: int, t: int) -> tuple[int, list[list[int]]]:
     return flow, cap
 
 
-def _max_flow_value(g: Graph, s: int, t: int) -> int:
-    return _run_flow(g, s, t)[0]
-
-
-def _min_cut_vertices(g: Graph, s: int, t: int) -> VertexSet:
-    flow, cap = _run_flow(g, s, t)
+def _min_cut_vertices(g: Graph, s: int, flow: int, cap: list[list[int]]) -> VertexSet:
+    """Separator read off the residual network of a maximum flow from s."""
     size = 2 * g.n
     reach = [False] * size
     reach[2 * s + 1] = True
@@ -474,7 +633,8 @@ def _min_cut_vertices(g: Graph, s: int, t: int) -> VertexSet:
                 reach[y] = True
                 queue.append(y)
     cut = mask_of(v for v in range(g.n) if reach[2 * v] and not reach[2 * v + 1])
-    assert cut.bit_count() == flow
+    if cut.bit_count() != flow:
+        raise RuntimeError(f"residual cut has {cut.bit_count()} vertices, max flow is {flow}")
     return cut
 
 

@@ -5,7 +5,10 @@ import pytest
 from toughkit import (
     INFINITE,
     build_jm,
+    connectivity,
     from_edges,
+    independence_number,
+    invariants,
     is_t_tough,
     mask_of,
     toughness,
@@ -22,7 +25,13 @@ from toughkit.generators import (
     star,
 )
 from toughkit.graphs import EnvelopeError, count_components
-from toughkit.invariants import toughness_json
+from toughkit.invariants import (
+    _dinkelbach,
+    _dp_steps,
+    _frontier_plan,
+    _isolation_seed,
+    toughness_json,
+)
 
 # value, lex-min witness mask, component count; all derived by the unpruned
 # 2^n oracle and frozen here
@@ -117,6 +126,8 @@ def test_workers_do_not_change_results(rng):
         oa = toughness_oracle(g, workers=1)
         ob = toughness_oracle(g, workers=4)
         assert (oa.value, oa.witness_cut) == (ob.value, ob.witness_cut)
+    jm7 = build_jm(7).graph
+    assert toughness(jm7, workers=1) == toughness(jm7, workers=2)
 
 
 def test_toughness_at_most_half_connectivity(rng):
@@ -187,3 +198,95 @@ def test_next_rational_fails(rng):
             above = Fraction(cert.value.numerator * den // cert.value.denominator + 1, den)
             assert above > cert.value
             assert not is_t_tough(g, above)[0]
+
+
+# ---------------------------------------------------------------------------
+# frontier DP value path
+
+def _dp_value(g):
+    steps, _ = _frontier_plan(g)
+    return Fraction(*_dinkelbach(steps, *_isolation_seed(g)))
+
+
+def _dp_chosen(g):
+    """Whether toughness() takes the DP path for g (its cost rule)."""
+    alpha, _ = independence_number(g)
+    return _dp_steps(g, max(1, connectivity(g).kappa), alpha, *_isolation_seed(g)) is not None
+
+
+def test_dp_value_matches_oracle_on_randoms(rng):
+    checked = 0
+    while checked < 200:
+        n = rng.randrange(4, 13)
+        g = random_connected_graph(n, rng, p=rng.choice([0.2, 0.35, 0.5, 0.7]))
+        o = toughness_oracle(g)
+        if o is INFINITE:
+            continue
+        assert _dp_value(g) == o.value, g.edges()
+        checked += 1
+
+
+# J_8's witness and component count come from the subset sweep at the commit
+# before the DP existed (33 s there); the DP must reproduce that certificate
+JM_VALUES = {3: Fraction(2), 4: Fraction(7, 4), 5: Fraction(2), 6: Fraction(11, 6),
+             7: Fraction(2), 8: Fraction(15, 8), 9: Fraction(2)}
+J8_WITNESS = [1, 3, 5, 7, 8, 10, 12, 14, 16, 17, 18, 19, 20, 21, 22]
+
+
+@pytest.mark.parametrize("m", sorted(JM_VALUES))
+def test_dp_pins_jm_values(m):
+    g = build_jm(m).graph
+    assert _dp_value(g) == JM_VALUES[m]
+
+
+def test_jm8_certificate_matches_the_sweep():
+    g = build_jm(8).graph
+    assert _dp_chosen(g)
+    cert = toughness(g)
+    assert toughness_json(cert) == {
+        "invariant": "toughness", "value": {"num": 15, "den": 8},
+        "witness": J8_WITNESS, "components": 8,
+    }
+    assert cert.validate(g)
+
+
+def test_jm_frontier_stays_narrow():
+    # J_m has a width-5 path decomposition, so the DP is linear in m
+    for m in (5, 9, 13):
+        assert max(_frontier_plan(build_jm(m).graph)[1]) <= 5
+
+
+def test_cost_rule_sends_jm7_to_dp_and_dense_randoms_to_sweep(rng):
+    assert _dp_chosen(build_jm(7).graph)
+    for n in range(14, 21):
+        g = random_connected_graph(n, rng, p=0.45)
+        assert not _dp_chosen(g), g.edges()
+
+
+def test_cost_rule_skips_the_ordering_for_small_sweeps(monkeypatch):
+    def no_plan(g):
+        raise AssertionError("ordering computed for a cheap sweep")
+
+    monkeypatch.setattr(invariants, "_frontier_plan", no_plan)
+    assert toughness(petersen()).value == Fraction(4, 3)
+    assert is_t_tough(cycle_power(10, 2), 2) == (True, None)
+
+
+def test_state_ceiling_falls_back_to_the_sweep(monkeypatch):
+    g = build_jm(5).graph
+    assert _dp_chosen(g)
+    want = toughness(g)
+    monkeypatch.setattr(invariants, "_DP_MAX_STATES", 10)
+    steps, _ = _frontier_plan(g)
+    assert _dinkelbach(steps, *_isolation_seed(g)) is None
+    assert toughness(g) == want
+    assert is_t_tough(g, 2) == (True, None)
+
+
+def test_is_t_tough_dp_path_keeps_sweep_witness():
+    # J_6 takes the DP; above its toughness the first violation in
+    # (size, subset) order still comes from the sweep
+    g = build_jm(6).graph
+    assert is_t_tough(g, Fraction(11, 6)) == (True, None)
+    ok, witness = is_t_tough(g, Fraction(2))
+    assert not ok and witness == 128362
