@@ -92,7 +92,10 @@ def _read_text(args) -> str:
     if not os.path.isfile(path):
         raise UsageError(f"no such file: {path}")
     with open(path, encoding="ascii") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path} is not ASCII: {exc.reason} at byte {exc.start}")
 
 
 def _load_graph(args) -> Graph:
@@ -311,9 +314,20 @@ def cmd_corpus(args) -> int:
 # ---------------------------------------------------------------------------
 # parser assembly
 
+def _worker_count(text: str) -> int:
+    try:
+        workers = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if workers < 1:
+        raise argparse.ArgumentTypeError(f"need at least 1 worker, got {workers}")
+    return workers
+
+
 def _add_workers(sub) -> None:
-    sub.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                     help="worker processes (default: machine parallelism)")
+    sub.add_argument("--workers", type=_worker_count, default=os.cpu_count() or 1,
+                     help="worker processes, capped at the machine's core count "
+                          "(default: machine parallelism)")
 
 
 def _add_input(sub) -> None:

@@ -13,13 +13,13 @@ smallest bitmask value (ties beyond that cannot occur).
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
 
 from .graphs import EnvelopeError, Graph, VertexSet, bits, components, mask_of
+from .parallel import worker_pool
 
 ORACLE_MAX_VERTICES = 22
 
@@ -234,26 +234,19 @@ def _sweep_value(g: Graph, kappa: int, alpha: int, best_s: int, best_k: int,
     ``_sweep_sizes`` bound, checked against the running best.
     """
     n, adj = g.n, g.adj
-    pool = None
-    if workers > 1:
-        pool = multiprocessing.get_context("fork").Pool(workers)
-    try:
+    with worker_pool(workers) as pmap:
         for s in range(max(1, kappa), n - 1):
             kcap = min(n - s, alpha)
             if kcap < 2 or s * best_k >= best_s * kcap:
                 break
-            if pool is None:
+            if workers == 1:
                 best_s, best_k = _scan_size(adj, n, s, best_s, best_k)
             else:
                 # partition the size class by highest vertex; merge exactly
                 tasks = [(adj, n, s, best_s, best_k, top) for top in range(s - 1, n)]
-                for cs, ck in pool.map(_scan_size_task, tasks):
+                for cs, ck in pmap(_scan_size_task, tasks):
                     if ck and cs * best_k < best_s * ck:
                         best_s, best_k = cs, ck
-    finally:
-        if pool is not None:
-            pool.close()
-            pool.join()
     return best_s, best_k
 
 
@@ -480,25 +473,16 @@ def toughness_oracle(g: Graph, workers: int = 1):
         )
     adj_sets = [set(bits(row)) for row in g.adj]
     n = g.n
-    if workers > 1:
-        nch = 1
-        while (1 << nch) < workers:
-            nch += 1
-        nch = 1 << nch  # 2^ceil(log2(workers)) chunks split by top bits
-        step = (1 << n) // nch if (1 << n) >= nch else 1
-        ranges = []
-        lo = 0
-        while lo < (1 << n):
-            ranges.append((adj_sets, n, lo, min(lo + step, 1 << n)))
-            lo += step
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            results = pool.map(_oracle_range_task, ranges)
-        best = None
-        for cand in results:  # ranges are ascending, so first strict min keeps lowest mask
-            if cand is not None and (best is None or cand[0] < best[0]):
-                best = cand
-    else:
-        best = _oracle_range(adj_sets, n, 0, 1 << n)
+    # 2^ceil(log2(workers)) ranges split by top bits; one range when serial
+    nch = 1 << (workers - 1).bit_length()
+    step = (1 << n) // nch if (1 << n) >= nch else 1
+    ranges = [(adj_sets, n, lo, min(lo + step, 1 << n)) for lo in range(0, 1 << n, step)]
+    with worker_pool(workers) as pmap:
+        results = pmap(_oracle_range_task, ranges)
+    best = None
+    for cand in results:  # ranges are ascending, so first strict min keeps lowest mask
+        if cand is not None and (best is None or cand[0] < best[0]):
+            best = cand
     if best is None:
         return INFINITE
     return ToughnessCertificate(best[0], best[1], best[2])

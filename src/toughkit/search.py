@@ -9,12 +9,13 @@ Enumeration is orderly: grow one vertex at a time, keep an extension only
 when the grown labeled graph is already its own canonical labeling.  The
 max-string canonical form is prefix-closed (a permutation improving a
 prefix would extend to one improving the whole string), so every class is
-produced exactly once and no isomorph store is needed.
+produced exactly once and no isomorph store is needed.  Before that full
+check, an O(1) exact test drops extensions that swapping the last two
+vertices would already beat.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -30,6 +31,7 @@ from .invariants import (
     toughness,
     toughness_json,
 )
+from .parallel import worker_pool
 
 CANONICAL_MAX_VERTICES = 12
 LABELED_ORACLE_MAX_VERTICES = 8
@@ -132,7 +134,8 @@ def _max_labeling(n: int, adj) -> list[int]:
                 equal = True
 
     dfs(0, 0, False)
-    assert best_perm is not None
+    if best_perm is None:
+        raise RuntimeError(f"no labeling reached depth {n}")
     return best_perm
 
 
@@ -154,52 +157,106 @@ def canonical_form(g: Graph) -> str:
 # ---------------------------------------------------------------------------
 # orderly generation of connected r-regular graphs
 
-def _feasible(rows: list[int], k: int, n: int, r: int) -> bool:
-    """Can a k-vertex prefix with these degrees still finish r-regular on n?"""
-    s = n - k
+def _feasible(rows: list[int], newrow: int, n: int, r: int) -> bool:
+    """Can the prefix ``rows`` grown by a vertex with neighbours ``newrow``
+    still finish r-regular on n vertices?"""
+    s = n - len(rows) - 1
     total = 0
-    for v in range(k):
-        d = r - rows[v].bit_count()
+    for v, row in enumerate(rows):
+        d = r - row.bit_count() - (newrow >> v & 1)
         if d < 0 or d > s:
             return False
         total += d
+    d = r - newrow.bit_count()
+    if d < 0 or d > s:
+        return False
+    total += d
     if total > r * s:
         return False
     spare = r * s - total  # twice the edge count still to be placed inside the suffix
     return spare % 2 == 0 and spare <= s * (s - 1)
 
 
-def enumerate_regular(n: int, r: int) -> list[Graph]:
-    """All connected r-regular graphs on n vertices, one per isomorphism class.
+def _swap_beats(rows: list[int], newrow: int) -> bool:
+    """Would swapping the last vertex of ``rows`` with a new vertex adjacent
+    to ``newrow`` give a strictly larger column string?
 
-    Orderly vertex-extension search; output sorted by canonical graph6 (the
-    emitted labelings are already canonical).  Envelope: n <= 12, r <= 4.
+    The new vertex k only appends column k.  Swapping positions k-1 and k
+    leaves columns 1..k-2 alone and puts the new vertex's bits over 0..k-2
+    in column k-1, so the swap wins when those bits beat the old column k-1
+    at their first difference, the lowest differing vertex.  Such an
+    extension is never canonical.
     """
+    k = len(rows)
+    low = (1 << (k - 1)) - 1
+    x = (newrow ^ rows[k - 1]) & low
+    return bool(newrow & x & -x)
+
+
+def _grow(task) -> list[list[int]]:
+    """The canonical one-vertex extensions of each parent, in parent order."""
+    level, n, r = task
+    out = []
+    for rows in level:
+        k = len(rows)
+        open_verts = [v for v in range(k) if rows[v].bit_count() < r]
+        for size in range(min(r, len(open_verts)) + 1):
+            for combo in combinations(open_verts, size):
+                newrow = 0
+                for v in combo:
+                    newrow |= 1 << v
+                if _swap_beats(rows, newrow) or not _feasible(rows, newrow, n, r):
+                    continue
+                grown = rows.copy()
+                for v in combo:
+                    grown[v] |= 1 << k
+                grown.append(newrow)
+                if _is_max_canonical(k + 1, grown):
+                    out.append(grown)
+    return out
+
+
+# a level this large is split into _CHUNKS_PER_WORKER contiguous chunks per
+# worker; smaller levels are not worth the pickling
+_POOL_MIN_LEVEL = 64
+_CHUNKS_PER_WORKER = 8
+
+
+def _enumerate(n: int, r: int, pmap, workers: int) -> list[Graph]:
+    level: list[list[int]] = [[0]]
+    for _ in range(1, n):
+        if workers > 1 and len(level) >= _POOL_MIN_LEVEL:
+            step = -(-len(level) // (_CHUNKS_PER_WORKER * workers))
+            chunks = [(level[i:i + step], n, r) for i in range(0, len(level), step)]
+            level = [rows for part in pmap(_grow, chunks) for rows in part]
+        else:
+            level = _grow((level, n, r))
+    out = [Graph(n, tuple(rows)) for rows in level]
+    out = [g for g in out if is_connected(g)]
+    return sorted(out, key=serialize_graph6)
+
+
+def _check_regular_params(n: int, r: int) -> None:
     if n > 12 or r > 4:
         raise EnvelopeError(f"enumeration capped at n <= 12, r <= 4, got ({n}, {r})")
     if not 0 <= r < n:
         raise ValueError(f"need 0 <= r < n, got r={r}, n={n}")
     if n * r % 2:
         raise ValueError(f"no {r}-regular graph on {n} vertices (odd degree sum)")
-    level: list[list[int]] = [[0]]
-    for k in range(1, n):
-        nxt = []
-        for rows in level:
-            open_verts = [v for v in range(k) if rows[v].bit_count() < r]
-            for size in range(min(r, len(open_verts)) + 1):
-                for combo in combinations(open_verts, size):
-                    grown = rows.copy()
-                    newrow = 0
-                    for v in combo:
-                        grown[v] |= 1 << k
-                        newrow |= 1 << v
-                    grown.append(newrow)
-                    if _feasible(grown, k + 1, n, r) and _is_max_canonical(k + 1, grown):
-                        nxt.append(grown)
-        level = nxt
-    out = [Graph(n, tuple(rows)) for rows in level]
-    out = [g for g in out if is_connected(g)]
-    return sorted(out, key=serialize_graph6)
+
+
+def enumerate_regular(n: int, r: int, workers: int = 1) -> list[Graph]:
+    """All connected r-regular graphs on n vertices, one per isomorphism class.
+
+    Orderly vertex-extension search; output sorted by canonical graph6 (the
+    emitted labelings are already canonical).  Each vertex level with at
+    least 64 parents is split into contiguous chunks grown on
+    ``workers`` processes and rejoined in chunk order, so the output does
+    not depend on the worker count.  Envelope: n <= 12, r <= 4.
+    """
+    _check_regular_params(n, r)
+    with worker_pool(workers) as pmap:
+        return _enumerate(n, r, pmap, workers)
 
 
 def labeled_regular_class_forms(n: int, r: int, connected_only: bool = True) -> set[str]:
@@ -346,8 +403,9 @@ def run_census(spec: SearchSpec, stream=None, workers: int = 1) -> CensusResult:
 
     Builtin source enumerates connected r-regular classes; a stream source
     reads graph6 lines (malformed or mis-sized lines are recorded per line
-    number and skipped).  Results are independent of worker count: counts
-    are sums and survivors are sorted by canonical form.
+    number and skipped).  One pool of ``workers`` processes serves both the
+    enumeration and the pipeline.  Results are independent of worker count:
+    counts are sums and survivors are sorted by canonical form.
     """
     res = CensusResult(spec=spec, counts={"regular": 0})
     for p in _STAGE_ORDER[1:]:
@@ -357,7 +415,7 @@ def run_census(spec: SearchSpec, stream=None, workers: int = 1) -> CensusResult:
     if spec.source == "builtin":
         if stream is not None:
             raise ValueError("builtin source does not take a stream")
-        graphs = enumerate_regular(spec.n, spec.r)
+        _check_regular_params(spec.n, spec.r)
     else:
         if stream is None:
             raise ValueError("stream source needs lines of graph6")
@@ -374,13 +432,11 @@ def run_census(spec: SearchSpec, stream=None, workers: int = 1) -> CensusResult:
                 res.errors.append((lineno, f"expected order {spec.n}, got {g.n}"))
                 continue
             graphs.append(g)
-    res.examined = len(graphs)
-    tasks = [(g, spec) for g in graphs]
-    if workers > 1 and tasks:
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            outcomes = pool.map(_examine, tasks)
-    else:
-        outcomes = [_examine(t) for t in tasks]
+    with worker_pool(workers) as pmap:
+        if spec.source == "builtin":
+            graphs = _enumerate(spec.n, spec.r, pmap, workers)
+        res.examined = len(graphs)
+        outcomes = pmap(_examine, [(g, spec) for g in graphs])
     for flags, record, comp in outcomes:
         if comp:
             res.complete_graphs += 1

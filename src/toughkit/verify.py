@@ -25,7 +25,6 @@ Claim registry:
 from __future__ import annotations
 
 import json
-import multiprocessing
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -40,6 +39,7 @@ from .invariants import (
     induced_stars,
     toughness,
 )
+from .parallel import worker_pool
 
 CLAIM_IDS = (
     "LEMMA_A",
@@ -404,10 +404,8 @@ def run_ledger(m_values=None, claims=None, odd_only: bool = False,
     the sequential run.
     """
     tasks = build_tasks(m_values, claims, odd_only)
-    if workers > 1 and tasks:
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            return pool.map(_run_task, tasks)
-    return [_run_task(t) for t in tasks]
+    with worker_pool(workers) as pmap:
+        return pmap(_run_task, tasks)
 
 
 def ledger_json(reports: list[ClaimReport]) -> str:

@@ -157,6 +157,26 @@ def test_invariant_parse_error(capsys, monkeypatch):
     assert err.startswith("error: parse:")
 
 
+def test_invariant_non_ascii_file_is_a_parse_error(capsys, tmp_path):
+    bad = tmp_path / "bad.g6"
+    bad.write_bytes(b"I}h\xc3\xa9")
+    code, out, err = run_cli(capsys, "invariant", "toughness", "--input", str(bad))
+    assert code == PARSE
+    assert out == ""
+    assert err.startswith("error: parse:") and "not ASCII" in err
+
+
+@pytest.mark.parametrize("cmd", [["invariant", "connectivity", "--stdin"],
+                                 ["verify", "--claim", "LEMMA_A", "--m", "3"],
+                                 ["census", "--n", "5", "--r", "4"]])
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_workers_below_one_is_a_usage_error(capsys, cmd, workers):
+    code, out, err = run_cli(capsys, *cmd, "--workers", workers)
+    assert code == USAGE
+    assert out == ""
+    assert "need at least 1 worker" in err
+
+
 def test_invariant_needs_an_input(capsys):
     code, _, err = run_cli(capsys, "invariant", "toughness")
     assert code == USAGE

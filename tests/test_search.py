@@ -1,10 +1,14 @@
 """Canonical forms, isomorph-free enumeration, and the census pipeline."""
 
+import os
 import random
+from contextlib import contextmanager
+from itertools import combinations
 
 import pytest
 
-from toughkit.graphs import EnvelopeError, Graph, from_edges, relabel
+from toughkit import search
+from toughkit.graphs import EnvelopeError, Graph, from_edges, is_connected, mask_of, relabel
 from toughkit.generators import (
     build_jm,
     cycle,
@@ -22,8 +26,12 @@ from toughkit.search import (
     enumerate_regular,
     labeled_regular_class_forms,
     run_census,
+    _feasible,
+    _is_max_canonical,
+    _swap_beats,
 )
 from toughkit.formats import parse_graph6, serialize_graph6
+from toughkit.parallel import worker_pool
 
 from oracles import girth_naive
 
@@ -106,6 +114,11 @@ ENUM_COUNTS = [
     (4, 1, 0),
     (1, 0, 1),
     (2, 0, 0),
+    # OEIS A006820 (connected quartic) and A002851 (connected cubic)
+    (9, 4, 16),
+    (10, 4, 59),
+    (10, 3, 19),
+    (12, 3, 85),
 ]
 
 
@@ -144,6 +157,75 @@ def test_enumeration_matches_labeled_oracle():
                 continue
             fast = {serialize_graph6(g) for g in enumerate_regular(n, r)}
             assert fast == labeled_regular_class_forms(n, r)
+
+
+def test_enumerate_order_11_quartic_with_two_workers():
+    assert len(enumerate_regular(11, 4, workers=2)) == 265  # OEIS A006820
+
+
+def _feasible_naive(grown, n, r):
+    s = n - len(grown)
+    need = [r - row.bit_count() for row in grown]
+    spare = r * s - sum(need)
+    return (min(need) >= 0 and max(need) <= s and spare >= 0
+            and spare % 2 == 0 and spare <= s * (s - 1))
+
+
+def test_swap_prefilter_never_rejects_a_canonical_extension():
+    # walk the orderly search without the prefilter and test it on every
+    # candidate extension the full canonicity check sees
+    rejected = kept = 0
+    for n in range(4, 10):
+        for r in (3, 4):
+            if r >= n or n * r % 2:
+                continue
+            level = [[0]]
+            for k in range(1, n):
+                nxt = []
+                for rows in level:
+                    open_verts = [v for v in range(k) if rows[v].bit_count() < r]
+                    for size in range(min(r, len(open_verts)) + 1):
+                        for combo in combinations(open_verts, size):
+                            newrow = mask_of(combo)
+                            grown = [row | (newrow >> v & 1) << k
+                                     for v, row in enumerate(rows)] + [newrow]
+                            feasible = _feasible_naive(grown, n, r)
+                            assert _feasible(rows, newrow, n, r) == feasible
+                            if not feasible:
+                                continue
+                            canonical = _is_max_canonical(k + 1, grown)
+                            if _swap_beats(rows, newrow):
+                                assert not canonical, (n, r, grown)
+                                rejected += 1
+                            else:
+                                kept += 1
+                            if canonical:
+                                nxt.append(grown)
+                level = nxt
+            assert len([g for g in level if is_connected(Graph(n, tuple(g)))]) == len(
+                enumerate_regular(n, r))
+    assert rejected > kept > 0
+
+
+@pytest.mark.parametrize("n,r", [(10, 4), (10, 3)])
+def test_enumerate_workers_do_not_change_output(monkeypatch, n, r):
+    chunk_counts = []
+
+    @contextmanager
+    def counting_pool(workers):
+        with worker_pool(workers) as pmap:
+            def spy(fn, tasks):
+                chunk_counts.append(len(tasks))
+                return pmap(fn, tasks)
+            yield spy
+
+    monkeypatch.setattr(search, "worker_pool", counting_pool)
+    solo = enumerate_regular(n, r, workers=1)
+    assert chunk_counts == []
+    multi = enumerate_regular(n, r, workers=2)
+    # the levels of 64 or more parents went through the pool in chunks
+    assert len(chunk_counts) >= 3 and min(chunk_counts) > 1
+    assert [serialize_graph6(g) for g in multi] == [serialize_graph6(g) for g in solo]
 
 
 def test_labeled_oracle_envelope():
@@ -216,10 +298,37 @@ def test_census_claw_predicates_partition_the_universe():
 
 
 def test_census_worker_count_is_invisible():
-    spec = SearchSpec(8, 4, predicates=("connected", "supertough"))
-    solo = run_census(spec, workers=1).to_json_dict()
-    multi = run_census(spec, workers=2).to_json_dict()
-    assert solo == multi
+    for n in (8, 10):
+        spec = SearchSpec(n, 4, predicates=("connected", "supertough"))
+        solo = run_census(spec, workers=1).to_json_dict()
+        multi = run_census(spec, workers=2).to_json_dict()
+        assert solo == multi
+
+
+# ---------------------------------------------------------------------------
+# worker pool
+
+def _pid(_):
+    return os.getpid()
+
+
+def test_worker_pool_rejects_fewer_than_one_worker():
+    for workers in (0, -1):
+        with pytest.raises(ValueError):
+            with worker_pool(workers):
+                pass
+
+
+def test_worker_pool_caps_workers_at_core_count(monkeypatch):
+    for cores in (1, None):
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        with worker_pool(2) as pmap:
+            assert pmap(_pid, range(4)) == [os.getpid()] * 4  # plain loop, no fork
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    with worker_pool(2) as pmap:
+        pids = pmap(_pid, range(8))
+        assert pmap(str, [3, 1, 2]) == ["3", "1", "2"]  # one pool, many maps
+    assert os.getpid() not in pids and len(set(pids)) <= 2
 
 
 # ---------------------------------------------------------------------------
