@@ -36,7 +36,7 @@ from .invariants import (
     toughness_json,
 )
 from .search import PREDICATES, SearchSpec, run_census
-from .verify import CLAIM_IDS, M_CLAIMS, applicable, ledger_json, run_ledger
+from .verify import CLAIM_IDS, CLAIMS, ledger_json, run_ledger
 
 OK = 0
 USAGE = 2
@@ -214,15 +214,16 @@ def cmd_verify(args) -> int:
     claims = tuple(args.claim) if args.claim else None
     ms = args.m
     if claims is not None and ms is not None:
-        # an explicitly requested claim must apply at every requested m;
-        # without an explicit claim list inapplicable combos are just skipped
+        # an explicitly requested J-family claim must hold its hypothesis at
+        # every requested m; without a claim list such combos are skipped
         for claim in claims:
-            if claim not in M_CLAIMS:
+            hypothesis = CLAIMS[claim].hypothesis
+            if hypothesis is None:
                 continue
             for m in ms:
                 if args.odd_only and m % 2 == 0:
                     continue
-                if not applicable(claim, m):
+                if not hypothesis(m):
                     raise UsageError(
                         f"claim {claim} does not apply at m={m} "
                         "(check the hypothesis; --odd-only skips even m)")

@@ -186,8 +186,3 @@ FIXTURE_BUILDERS = {
     "star": star,
     "petersen": petersen,
 }
-
-
-def fixtures() -> dict:
-    """Named builders for the standard small-graph fixtures."""
-    return dict(FIXTURE_BUILDERS)

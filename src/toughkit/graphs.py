@@ -141,14 +141,5 @@ def components(g: Graph, removed: VertexSet = 0) -> list[VertexSet]:
     return out
 
 
-def count_components(g: Graph, removed: VertexSet = 0) -> int:
-    return len(components(g, removed))
-
-
 def is_connected(g: Graph) -> bool:
     return len(components(g)) == 1
-
-
-def degree_sequence(g: Graph) -> list[int]:
-    """Degrees sorted ascending."""
-    return sorted(row.bit_count() for row in g.adj)

@@ -663,34 +663,27 @@ def independence_number(g: Graph) -> tuple[int, VertexSet]:
 # ---------------------------------------------------------------------------
 # induced stars and claw structure
 
+def _star_leaves(g: Graph, center: int, k: int):
+    """Masks of the independent k-subsets of N(center), in combination order."""
+    for combo in combinations(bits(g.adj[center]), k):
+        cm = mask_of(combo)
+        if all(g.adj[u] & cm == 0 for u in combo):
+            yield cm
+
+
 def induced_stars(g: Graph, k: int) -> list[StarInstance]:
     """All induced K_{1,k} subgraphs, ordered by center then leaf set."""
     if k < 2:
         raise ValueError(f"induced stars need k >= 2, got {k}")
-    out = []
-    for center in range(g.n):
-        nbrs = sorted(bits(g.adj[center]))
-        if len(nbrs) < k:
-            continue
-        for combo in combinations(nbrs, k):
-            cm = mask_of(combo)
-            if all(g.adj[u] & cm == 0 for u in combo):
-                out.append(StarInstance(center, cm))
-    return out
+    return [StarInstance(v, leaves) for v in range(g.n) for leaves in _star_leaves(g, v, k)]
 
 
 def claw_centers(g: Graph) -> VertexSet:
     """Vertices whose neighborhood holds an independent triple (claw centers)."""
     centers = 0
     for v in range(g.n):
-        nbrs = sorted(bits(g.adj[v]))
-        if len(nbrs) < 3:
-            continue
-        for combo in combinations(nbrs, 3):
-            cm = mask_of(combo)
-            if all(g.adj[u] & cm == 0 for u in combo):
-                centers |= 1 << v
-                break
+        if next(_star_leaves(g, v, 3), None) is not None:
+            centers |= 1 << v
     return centers
 
 
@@ -717,14 +710,6 @@ def cutsets_of_size(g: Graph, s: int) -> list[VertexSet]:
         if _count_components(full & ~x, tables) >= 2:
             out.append(x)
     return out
-
-
-def is_vertex_cover(g: Graph, s: VertexSet) -> bool:
-    """True when every edge has an endpoint in s."""
-    if s & ~g.full_mask:
-        raise ValueError("cover set mentions vertices outside the graph")
-    outside = g.full_mask & ~s
-    return all(g.adj[v] & outside == 0 for v in bits(outside))
 
 
 # ---------------------------------------------------------------------------

@@ -370,12 +370,15 @@ def _examine(args):
     if ok and "connected" in want:
         flags["connected"] = is_connected(g)
         ok = flags["connected"]
-    if ok and "claw_free" in want:
-        flags["claw_free"] = claw_centers(g) == 0
-        ok = flags["claw_free"]
-    if ok and "has_claw" in want:
-        flags["has_claw"] = claw_centers(g) != 0
-        ok = flags["has_claw"]
+    centers = None
+    if ok and ("claw_free" in want or "has_claw" in want):
+        centers = claw_centers(g)
+        if "claw_free" in want:
+            flags["claw_free"] = centers == 0
+            ok = flags["claw_free"]
+        if ok and "has_claw" in want:
+            flags["has_claw"] = centers != 0
+            ok = flags["has_claw"]
     if ok and "supertough" in want:
         # r-regular and not complete means toughness <= r/2, so the decision
         # procedure suffices for equality; complete graphs sit at INFINITE
@@ -393,7 +396,7 @@ def _examine(args):
             "graph6": canonical_form(g),
             "toughness": tj,
             "connectivity": connectivity_json(connectivity(g)),
-            "has_claw": claw_centers(g) != 0,
+            "has_claw": (claw_centers(g) if centers is None else centers) != 0,
         }
     return flags, record, comp
 

@@ -6,28 +6,18 @@ triangle covers, offending counterexamples on FAIL).  Reports are pure
 data, serialize with sorted keys, and are byte-identical across runs and
 worker counts.
 
-Claim registry:
-  LEMMA_A            connectivity of the order-(3m-1) member is exactly 4
-  LEMMA_B            for m >= 5 every 4-vertex cut-set isolates a cycle
-                     vertex or is an aligned pair {a_i, a_j, b_i, b_j}
-  LEMMA_C            for odd m the independence number is m - 1
-  LEMMA_C_TRIANGLES  dropping a_1 and b_m leaves m - 1 spanning triangles
-  THEOREM            for odd m >= 3 toughness is exactly 2
-  CLAW_CENTERS       for m >= 4 the claw centers are exactly the four
-                     bridge vertices a_1, a_m, b_1, b_m
-  NO_K14_AT_X        no induced K_{1,4} is centered at a bridge vertex
-  CYCLE_POWER_TOUGH  squares of even cycles C_8^2, C_10^2 have toughness 2
-  ALPHA_BOUND        every supertough 4-regular graph in the suite has
-                     independence number <= 2n / 6
-  MS_CONSISTENCY     claw-free fixtures have toughness = connectivity / 2
+``CLAIMS`` at the end of this module is the claim table: one record per
+claim, in ledger order, with its check, default parameters and hypothesis.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .generators import LabeledGraph, build_jm, complete, cycle, cycle_power, line_graph, petersen
 from .graphs import Graph, bits, mask_of
@@ -40,23 +30,6 @@ from .invariants import (
     toughness,
 )
 from .parallel import worker_pool
-
-CLAIM_IDS = (
-    "LEMMA_A",
-    "LEMMA_B",
-    "LEMMA_C",
-    "LEMMA_C_TRIANGLES",
-    "THEOREM",
-    "CLAW_CENTERS",
-    "NO_K14_AT_X",
-    "CYCLE_POWER_TOUGH",
-    "ALPHA_BOUND",
-    "MS_CONSISTENCY",
-)
-
-# default parameter ceilings: toughness-backed claims stop at 7, the rest at 9
-DEFAULT_M_CHEAP = range(3, 10)
-DEFAULT_M_TOUGH = range(3, 8)
 
 
 @dataclass(frozen=True)
@@ -92,9 +65,26 @@ def _jm(m: int) -> LabeledGraph:
     return build_jm(m)
 
 
+# the fixed graphs of the background claims, by label; the rest are "J_<m>"
+_FIXED_GRAPHS = {
+    "C_5": lambda: cycle(5),
+    "L(K_4)": lambda: line_graph(complete(4)),
+    "L(K_5)": lambda: line_graph(complete(5)),
+    "L(petersen)": lambda: line_graph(petersen()),
+    "C_8^2": lambda: cycle_power(8, 2),
+    "C_10^2": lambda: cycle_power(10, 2),
+}
+
+
 @lru_cache(maxsize=None)
-def _jm_toughness(m: int):
-    return toughness(_jm(m).graph)
+def _graph(label: str) -> Graph:
+    build = _FIXED_GRAPHS.get(label)
+    return _jm(int(label[2:])).graph if build is None else build()
+
+
+@lru_cache(maxsize=None)
+def _toughness(label: str):
+    return toughness(_graph(label))
 
 
 # ---------------------------------------------------------------------------
@@ -166,20 +156,21 @@ def _triangle_cover(lab) -> list[tuple[int, int, int]]:
     return tris
 
 
-def verify_lemma_c(m: int) -> tuple[ClaimReport, ClaimReport]:
-    """Independence number m-1, plus the triangle-cover device behind it."""
+def verify_lemma_c(m: int) -> ClaimReport:
+    """Independence number m-1 for odd m."""
+    if m % 2 == 0:
+        raise ValueError(f"lemma (c) hypothesis needs odd m, got {m}")
+    alpha, witness = independence_number(_jm(m).graph)
+    details = {"alpha": alpha, "expected": m - 1, "witness": _vlist(witness)}
+    return _report("LEMMA_C", m, alpha == m - 1, details)
+
+
+def verify_lemma_c_triangles(m: int) -> ClaimReport:
+    """Dropping a_1 and b_m leaves m-1 disjoint spanning triangles (odd m)."""
     if m % 2 == 0:
         raise ValueError(f"lemma (c) hypothesis needs odd m, got {m}")
     lg = _jm(m)
     g, lab = lg.graph, lg.labeling
-    alpha, witness = independence_number(g)
-    alpha_report = _report(
-        "LEMMA_C",
-        m,
-        alpha == m - 1,
-        {"alpha": alpha, "expected": m - 1, "witness": _vlist(witness)},
-    )
-
     tris = _triangle_cover(lab)
     dropped = mask_of((lab.a(1), lab.b(m)))
     seen = 0
@@ -194,25 +185,20 @@ def verify_lemma_c(m: int) -> tuple[ClaimReport, ClaimReport]:
             break
         seen |= tm
     spanning = seen == g.full_mask & ~dropped
-    tri_report = _report(
-        "LEMMA_C_TRIANGLES",
-        m,
-        all_triangles and spanning,
-        {
-            "triangles": [sorted((x, y, z)) for x, y, z in tris],
-            "dropped": _vlist(dropped),
-            "disjoint_triangles": all_triangles,
-            "spanning": spanning,
-        },
-    )
-    return alpha_report, tri_report
+    details = {
+        "triangles": [sorted((x, y, z)) for x, y, z in tris],
+        "dropped": _vlist(dropped),
+        "disjoint_triangles": all_triangles,
+        "spanning": spanning,
+    }
+    return _report("LEMMA_C_TRIANGLES", m, all_triangles and spanning, details)
 
 
 def verify_theorem(m: int) -> ClaimReport:
     """Toughness exactly 2 for odd m >= 3."""
     if m % 2 == 0:
         raise ValueError(f"theorem hypothesis needs odd m, got {m}")
-    cert = _jm_toughness(m)
+    cert = _toughness(f"J_{m}")
     details = {
         "toughness": {"num": cert.value.numerator, "den": cert.value.denominator},
         "witness_cut": _vlist(cert.witness_cut),
@@ -221,54 +207,40 @@ def verify_theorem(m: int) -> ClaimReport:
     return _report("THEOREM", m, cert.value == Fraction(2), details)
 
 
-def verify_claw_structure(m: int) -> tuple[ClaimReport, ClaimReport]:
-    """Claw centers are exactly the bridge set; no K_{1,4} centered there."""
+def verify_claw_centers(m: int) -> ClaimReport:
+    """Claw centers are exactly the bridge set a_1, a_m, b_1, b_m."""
     if m < 4:
         raise ValueError(f"claw structure claims need m >= 4, got {m}")
     lg = _jm(m)
-    g, lab = lg.graph, lg.labeling
-    centers = claw_centers(g)
-    x = lab.x_mask()
-    centers_report = _report(
-        "CLAW_CENTERS",
-        m,
-        centers == x,
-        {"centers": _vlist(centers), "expected": _vlist(x)},
-    )
-    four_stars = induced_stars(g, 4)
+    centers = claw_centers(lg.graph)
+    x = lg.labeling.x_mask()
+    details = {"centers": _vlist(centers), "expected": _vlist(x)}
+    return _report("CLAW_CENTERS", m, centers == x, details)
+
+
+def verify_no_k14_at_x(m: int) -> ClaimReport:
+    """No induced K_{1,4} is centered at a bridge vertex."""
+    if m < 4:
+        raise ValueError(f"claw structure claims need m >= 4, got {m}")
+    lg = _jm(m)
+    x = lg.labeling.x_mask()
+    four_stars = induced_stars(lg.graph, 4)
     at_x = [s for s in four_stars if x >> s.center & 1]
-    k14_report = _report(
-        "NO_K14_AT_X",
-        m,
-        not at_x,
-        {
-            "k14_total": len(four_stars),
-            "k14_at_bridge": [
-                {"center": s.center, "leaves": _vlist(s.leaves)} for s in at_x
-            ],
-        },
-    )
-    return centers_report, k14_report
+    details = {
+        "k14_total": len(four_stars),
+        "k14_at_bridge": [{"center": s.center, "leaves": _vlist(s.leaves)} for s in at_x],
+    }
+    return _report("NO_K14_AT_X", m, not at_x, details)
 
 
 # ---------------------------------------------------------------------------
 # background claims on fixed graphs
 
-def _background_graphs() -> dict[str, Graph]:
-    return {
-        "J_3": _jm(3).graph,
-        "C_5": cycle(5),
-        "L(K_4)": line_graph(complete(4)),
-        "L(K_5)": line_graph(complete(5)),
-        "L(petersen)": line_graph(petersen()),
-    }
-
-
 def verify_ms_consistency(label: str) -> ClaimReport:
     """Claw-free graphs must land exactly on toughness = connectivity / 2."""
-    g = _background_graphs()[label]
+    g = _graph(label)
     free = claw_centers(g) == 0
-    tough = toughness(g)
+    tough = _toughness(label)
     kappa = connectivity(g).kappa
     ok = free and tough.value == Fraction(kappa, 2)
     details = {
@@ -282,8 +254,7 @@ def verify_ms_consistency(label: str) -> ClaimReport:
 
 def verify_cycle_power_tough(label: str) -> ClaimReport:
     """C_n^2 fixtures are exactly 2-tough."""
-    n = {"C_8^2": 8, "C_10^2": 10}[label]
-    cert = toughness(cycle_power(n, 2))
+    cert = _toughness(label)
     details = {
         "toughness": {"num": cert.value.numerator, "den": cert.value.denominator},
         "witness_cut": _vlist(cert.witness_cut),
@@ -292,21 +263,11 @@ def verify_cycle_power_tough(label: str) -> ClaimReport:
     return _report("CYCLE_POWER_TOUGH", label, cert.value == Fraction(2), details)
 
 
-_SUPERTOUGH_SUITE = ("J_3", "J_5", "J_7", "C_8^2", "C_10^2")
-
-
 def verify_alpha_bound(label: str) -> ClaimReport:
     """Supertough 4-regular graphs obey alpha <= 2n / (r + 2) = n/3."""
-    if label.startswith("J_"):
-        m = int(label[2:])
-        g = _jm(m).graph
-        cert = _jm_toughness(m)
-    else:
-        n = {"C_8^2": 8, "C_10^2": 10}[label]
-        g = cycle_power(n, 2)
-        cert = toughness(g)
+    g = _graph(label)
     regular4 = all(g.degree(v) == 4 for v in range(g.n))
-    supertough = regular4 and cert.value == Fraction(2)
+    supertough = regular4 and _toughness(label).value == Fraction(2)
     alpha, witness = independence_number(g)
     bound = Fraction(2 * g.n, 6)
     details = {
@@ -320,78 +281,69 @@ def verify_alpha_bound(label: str) -> ClaimReport:
 
 
 # ---------------------------------------------------------------------------
-# ledger orchestration
+# the claim table and ledger orchestration
+
+class Claim(NamedTuple):
+    """One ledger claim.
+
+    A J-family claim checks one m per report: by default each m in
+    ``params``, and only where ``hypothesis(m)`` holds.  A fixed-graph
+    claim has ``hypothesis`` None and checks every graph label in
+    ``params``, whatever m is asked for."""
+
+    id: str
+    check: Callable[[object], ClaimReport]
+    params: tuple | range
+    hypothesis: Callable[[int], bool] | None = None
+
+
+def _odd(m: int) -> bool:
+    return m >= 3 and m % 2 == 1
+
+
+# in ledger order, which the default `verify` output keeps; toughness-backed
+# THEOREM stops at m = 7, the other J claims at 9
+CLAIMS = {c.id: c for c in (
+    Claim("LEMMA_A", verify_lemma_a, range(3, 10), lambda m: m >= 3),
+    Claim("LEMMA_B", verify_lemma_b, range(3, 10), lambda m: m >= 5),
+    Claim("LEMMA_C", verify_lemma_c, range(3, 10), _odd),
+    Claim("LEMMA_C_TRIANGLES", verify_lemma_c_triangles, range(3, 10), _odd),
+    Claim("THEOREM", verify_theorem, range(3, 8), _odd),
+    Claim("CLAW_CENTERS", verify_claw_centers, range(3, 10), lambda m: m >= 4),
+    Claim("NO_K14_AT_X", verify_no_k14_at_x, range(3, 10), lambda m: m >= 4),
+    Claim("MS_CONSISTENCY", verify_ms_consistency,
+          ("J_3", "C_5", "L(K_4)", "L(K_5)", "L(petersen)")),
+    Claim("CYCLE_POWER_TOUGH", verify_cycle_power_tough, ("C_8^2", "C_10^2")),
+    Claim("ALPHA_BOUND", verify_alpha_bound, ("J_3", "J_5", "J_7", "C_8^2", "C_10^2")),
+)}
+
+CLAIM_IDS = tuple(CLAIMS)
+
 
 def _run_task(task: tuple[str, object]) -> ClaimReport:
     claim, param = task
-    if claim == "LEMMA_A":
-        return verify_lemma_a(param)
-    if claim == "LEMMA_B":
-        return verify_lemma_b(param)
-    if claim == "LEMMA_C":
-        return verify_lemma_c(param)[0]
-    if claim == "LEMMA_C_TRIANGLES":
-        return verify_lemma_c(param)[1]
-    if claim == "THEOREM":
-        return verify_theorem(param)
-    if claim == "CLAW_CENTERS":
-        return verify_claw_structure(param)[0]
-    if claim == "NO_K14_AT_X":
-        return verify_claw_structure(param)[1]
-    if claim == "MS_CONSISTENCY":
-        return verify_ms_consistency(param)
-    if claim == "CYCLE_POWER_TOUGH":
-        return verify_cycle_power_tough(param)
-    if claim == "ALPHA_BOUND":
-        return verify_alpha_bound(param)
-    raise ValueError(f"unknown claim {claim!r}")
-
-
-def applicable(claim: str, m: int) -> bool:
-    """Whether an m-parameterized claim's hypothesis holds at this m."""
-    if claim in ("LEMMA_A",):
-        return m >= 3
-    if claim == "LEMMA_B":
-        return m >= 5
-    if claim in ("LEMMA_C", "LEMMA_C_TRIANGLES", "THEOREM"):
-        return m >= 3 and m % 2 == 1
-    if claim in ("CLAW_CENTERS", "NO_K14_AT_X"):
-        return m >= 4
-    return False
-
-
-_BACKGROUND_PARAMS = {
-    "MS_CONSISTENCY": ("J_3", "C_5", "L(K_4)", "L(K_5)", "L(petersen)"),
-    "CYCLE_POWER_TOUGH": ("C_8^2", "C_10^2"),
-    "ALPHA_BOUND": _SUPERTOUGH_SUITE,
-}
-
-M_CLAIMS = ("LEMMA_A", "LEMMA_B", "LEMMA_C", "LEMMA_C_TRIANGLES", "THEOREM",
-            "CLAW_CENTERS", "NO_K14_AT_X")
+    # call through the module's name for the check, not the object the
+    # table holds, so a wrapper bound to that name (a tracer, a test
+    # double) sees the call
+    return globals()[CLAIMS[claim].check.__name__](param)
 
 
 def build_tasks(m_values=None, claims=None, odd_only: bool = False):
     """Canonical (claim, parameter) task list for a ledger run."""
     chosen = CLAIM_IDS if claims is None else tuple(claims)
     for c in chosen:
-        if c not in CLAIM_IDS:
+        if c not in CLAIMS:
             raise ValueError(f"unknown claim {c!r}")
     tasks: list[tuple[str, object]] = []
-    for claim in M_CLAIMS:
-        if claim not in chosen:
+    for claim in CLAIMS.values():
+        if claim.id not in chosen:
             continue
-        if m_values is None:
-            ms = DEFAULT_M_TOUGH if claim == "THEOREM" else DEFAULT_M_CHEAP
-        else:
-            ms = m_values
-        for m in ms:
-            if odd_only and m % 2 == 0:
-                continue
-            if applicable(claim, m):
-                tasks.append((claim, m))
-    for claim, params in _BACKGROUND_PARAMS.items():
-        if claim in chosen:
-            tasks.extend((claim, p) for p in params)
+        if claim.hypothesis is None:
+            tasks.extend((claim.id, p) for p in claim.params)
+            continue
+        for m in claim.params if m_values is None else m_values:
+            if not (odd_only and m % 2 == 0) and claim.hypothesis(m):
+                tasks.append((claim.id, m))
     return tasks
 
 

@@ -100,6 +100,17 @@ def girth_naive(g: Graph):
     return best
 
 
+def induced_stars_naive(g: Graph, k: int) -> list[tuple[int, frozenset]]:
+    """(center, leaves) of every induced K_{1,k}, by center then sorted leaves."""
+    nbrs = adj_sets(g)
+    out = []
+    for v in range(g.n):
+        for leaves in combinations(sorted(nbrs[v]), k):
+            if all(b not in nbrs[a] for a, b in combinations(leaves, 2)):
+                out.append((v, frozenset(leaves)))
+    return out
+
+
 def cutsets_naive(g: Graph, s: int) -> set[frozenset]:
     out = set()
     for combo in combinations(range(g.n), s):

@@ -35,12 +35,14 @@ from toughkit.search import (
 )
 from toughkit.verify import (
     verify_alpha_bound,
-    verify_claw_structure,
+    verify_claw_centers,
     verify_cycle_power_tough,
     verify_lemma_a,
     verify_lemma_b,
     verify_lemma_c,
+    verify_lemma_c_triangles,
     verify_ms_consistency,
+    verify_no_k14_at_x,
 )
 
 from oracles import adj_sets, components_naive, cutsets_naive
@@ -101,7 +103,7 @@ def test_criterion_2_lemma_ledger():
         assert r.passed and r.details["kappa"] == 4, (
             f"LEMMA_A m={m}: {r.verdict} {r.details}")
     for m in (3, 5, 7):
-        for r in verify_lemma_c(m):
+        for r in (verify_lemma_c(m), verify_lemma_c_triangles(m)):
             assert r.passed, f"{r.claim} m={m}: {r.verdict} {r.details}"
 
     # LEMMA_B is false for m >= 5; pin the refutation against the oracle
@@ -138,7 +140,7 @@ def test_criterion_2_lemma_ledger():
 def test_criterion_3_claw_structure():
     all_ok = True
     for m in range(4, 8):
-        centers_rep, k14_rep = verify_claw_structure(m)
+        centers_rep, k14_rep = verify_claw_centers(m), verify_no_k14_at_x(m)
         all_ok = all_ok and centers_rep.passed and k14_rep.passed
         lab = build_jm(m).labeling
         assert centers_rep.details["expected"] == sorted(

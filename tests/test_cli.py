@@ -225,6 +225,15 @@ def test_verify_odd_only_skips_inapplicable(capsys):
     assert [r["parameter"] for r in json.loads(out)] == [3]
 
 
+def test_verify_fixed_graph_claim_ignores_m(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--claim", "CYCLE_POWER_TOUGH",
+                           "--m", "4", "--odd-only", "--workers", "1")
+    assert code == OK
+    reports = json.loads(out)
+    assert [r["parameter"] for r in reports] == ["C_8^2", "C_10^2"]
+    assert all(r["verdict"] == "PASS" for r in reports)
+
+
 def test_verify_empty_selection(capsys):
     code, _, err = run_cli(capsys, "verify", "--claim", "LEMMA_A",
                            "--m", "4", "--odd-only", "--workers", "1")

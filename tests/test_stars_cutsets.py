@@ -1,10 +1,19 @@
 import pytest
 
-from toughkit import bits, build_jm, claw_centers, cutsets_of_size, induced_stars, is_claw_free, mask_of
+from toughkit import (
+    bits,
+    build_jm,
+    claw_centers,
+    cutsets_of_size,
+    from_edges,
+    induced_stars,
+    is_claw_free,
+    mask_of,
+)
 from toughkit.generators import complete, cycle, line_graph, petersen, star
-from toughkit.invariants import is_vertex_cover, stars_json
+from toughkit.invariants import stars_json
 
-from oracles import cutsets_naive
+from oracles import cutsets_naive, induced_stars_naive
 
 
 def test_star_graph_claws():
@@ -60,6 +69,18 @@ def test_induced_star_instances_are_induced():
                    for v in leaves[i + 1:])
 
 
+def test_stars_match_naive(rng):
+    for _ in range(100):
+        n = rng.randrange(5, 13)
+        p = rng.choice([0.2, 0.35, 0.5])
+        g = from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                           if rng.random() < p])
+        for k in (3, 4):
+            got = [(s.center, frozenset(bits(s.leaves))) for s in induced_stars(g, k)]
+            assert got == induced_stars_naive(g, k)
+        assert claw_centers(g) == mask_of({c for c, _ in induced_stars_naive(g, 3)})
+
+
 def test_induced_stars_validates_k():
     with pytest.raises(ValueError):
         induced_stars(cycle(4), 1)
@@ -81,7 +102,6 @@ def test_cutsets_of_size_small_cases():
 
 
 def test_cutsets_match_naive(rng):
-    from toughkit import from_edges
     for _ in range(25):
         n = rng.randrange(3, 9)
         g = from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
@@ -94,17 +114,6 @@ def test_cutsets_match_naive(rng):
 def test_cutsets_are_ascending_masks():
     masks = cutsets_of_size(build_jm(4).graph, 4)
     assert masks == sorted(masks)
-
-
-def test_is_vertex_cover():
-    c4 = cycle(4)
-    assert is_vertex_cover(c4, mask_of([0, 2]))
-    assert not is_vertex_cover(c4, mask_of([0, 1]))
-    assert is_vertex_cover(c4, c4.full_mask)
-    j5 = build_jm(5).graph
-    assert not is_vertex_cover(j5, mask_of([0]))
-    with pytest.raises(ValueError):
-        is_vertex_cover(c4, 1 << 5)
 
 
 def test_stars_json_shape():

@@ -1,32 +1,40 @@
 """Claim checks: PASS paths, hypothesis guards, the machine-refuted
-four-cut classification, and ledger orchestration."""
+four-cut classification, ledger orchestration and the pinned ledger."""
 
+import hashlib
+import json
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 import toughkit.verify as verify
+from toughkit.cli import VERIFY_FAIL, main
 from toughkit.generators import build_jm, cycle
 from toughkit.graphs import components, mask_of
 from toughkit.invariants import ToughnessCertificate, cutsets_of_size
 from toughkit.verify import (
     CLAIM_IDS,
-    M_CLAIMS,
+    CLAIMS,
     ClaimReport,
-    applicable,
     build_tasks,
     ledger_json,
     run_ledger,
     verify_alpha_bound,
-    verify_claw_structure,
+    verify_claw_centers,
     verify_cycle_power_tough,
     verify_lemma_a,
     verify_lemma_b,
     verify_lemma_c,
+    verify_lemma_c_triangles,
     verify_ms_consistency,
+    verify_no_k14_at_x,
     verify_theorem,
 )
+
+EXPECTED = json.loads(
+    (Path(__file__).parents[1] / "perfbench" / "expected.json").read_text())
 
 
 def test_claim_report_surface():
@@ -118,11 +126,13 @@ def test_lemma_b_counterexamples_revalidate():
 def test_lemma_c_hypothesis_guard():
     with pytest.raises(ValueError):
         verify_lemma_c(4)
+    with pytest.raises(ValueError):
+        verify_lemma_c_triangles(4)
 
 
 @pytest.mark.parametrize("m", [3, 5, 7])
 def test_lemma_c_passes(m):
-    alpha_rep, tri_rep = verify_lemma_c(m)
+    alpha_rep, tri_rep = verify_lemma_c(m), verify_lemma_c_triangles(m)
     assert alpha_rep.verdict == "PASS"
     assert alpha_rep.details["alpha"] == m - 1
     g = build_jm(m).graph
@@ -160,7 +170,7 @@ def test_theorem_passes(m):
 
 def test_theorem_fails_on_doctored_value(monkeypatch):
     fake = ToughnessCertificate(Fraction(3, 2), mask_of([0, 1, 2]), 2)
-    monkeypatch.setattr(verify, "_jm_toughness", lambda m: fake)
+    monkeypatch.setattr(verify, "_toughness", lambda label: fake)
     rep = verify_theorem(5)
     assert rep.verdict == "FAIL"
     assert rep.details["toughness"] == {"num": 3, "den": 2}
@@ -171,12 +181,14 @@ def test_theorem_fails_on_doctored_value(monkeypatch):
 
 def test_claw_structure_hypothesis_guard():
     with pytest.raises(ValueError):
-        verify_claw_structure(3)
+        verify_claw_centers(3)
+    with pytest.raises(ValueError):
+        verify_no_k14_at_x(3)
 
 
 @pytest.mark.parametrize("m", [4, 5, 6])
 def test_claw_structure_passes(m):
-    centers_rep, k14_rep = verify_claw_structure(m)
+    centers_rep, k14_rep = verify_claw_centers(m), verify_no_k14_at_x(m)
     assert centers_rep.verdict == "PASS"
     lab = build_jm(m).labeling
     assert centers_rep.details["centers"] == sorted(
@@ -235,15 +247,18 @@ def test_alpha_bound_passes(label, n, alpha):
 # orchestration
 
 def test_applicable_table():
-    assert applicable("LEMMA_A", 3)
-    assert not applicable("LEMMA_B", 4)
-    assert applicable("LEMMA_B", 5)
-    assert applicable("THEOREM", 5)
-    assert not applicable("THEOREM", 4)
-    assert not applicable("LEMMA_C", 6)
-    assert applicable("CLAW_CENTERS", 4)
-    assert not applicable("CLAW_CENTERS", 3)
-    assert not applicable("MS_CONSISTENCY", 3)  # not m-parameterized
+    def holds(claim, m):
+        return CLAIMS[claim].hypothesis(m)
+
+    assert holds("LEMMA_A", 3)
+    assert not holds("LEMMA_B", 4)
+    assert holds("LEMMA_B", 5)
+    assert holds("THEOREM", 5)
+    assert not holds("THEOREM", 4)
+    assert not holds("LEMMA_C", 6)
+    assert holds("CLAW_CENTERS", 4)
+    assert not holds("CLAW_CENTERS", 3)
+    assert CLAIMS["MS_CONSISTENCY"].hypothesis is None  # not m-parameterized
 
 
 def test_build_tasks_default_composition():
@@ -270,7 +285,6 @@ def test_build_tasks_selection_and_parity():
     ]
     with pytest.raises(ValueError):
         build_tasks(claims=["LEMMA_Z"])
-    assert set(M_CLAIMS) < set(CLAIM_IDS)
 
 
 def test_run_ledger_workers_agree():
@@ -282,14 +296,13 @@ def test_run_ledger_workers_agree():
     assert len(solo) == 3 + 5
 
 
-def test_run_task_rejects_unknown_claim():
-    with pytest.raises(ValueError):
-        verify._run_task(("LEMMA_Z", 3))
+def test_run_ledger_calls_checks_through_module_names(monkeypatch):
+    stub = ClaimReport("THEOREM", 3, "FAIL", {"stub": True})
+    monkeypatch.setattr(verify, "verify_theorem", lambda m: stub)
+    assert run_ledger(m_values=[3], claims=["THEOREM"]) == [stub]
 
 
 def test_ledger_json_is_stable_and_parseable():
-    import json
-
     reports = run_ledger(m_values=[3], claims=["LEMMA_A"])
     text = ledger_json(reports)
     assert text.endswith("\n")
@@ -298,3 +311,24 @@ def test_ledger_json_is_stable_and_parseable():
     first = text.index('"claim"')
     assert first < text.index('"details"') < text.index('"parameter"') \
         < text.index('"verdict"')
+
+
+# ---------------------------------------------------------------------------
+# the ledger pinned in perfbench/expected.json
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_default_ledger_matches_pin(capsys, workers):
+    code = main(["verify", "--workers", workers])
+    out = capsys.readouterr().out
+    assert code == VERIFY_FAIL == EXPECTED["ledger"]["exit"]
+    assert _digest(out) == EXPECTED["ledger"]["stdout"]
+
+
+@pytest.mark.parametrize("claim", CLAIM_IDS)
+def test_single_claim_ledger_matches_pin(claim):
+    reports = run_ledger(claims=[claim], workers=1)
+    assert _digest(ledger_json(reports)) == EXPECTED["claims"][claim]
