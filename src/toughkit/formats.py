@@ -8,7 +8,7 @@ body, trailing bytes and nonzero padding are all distinct errors.
 
 from __future__ import annotations
 
-from .graphs import EnvelopeError, Graph, bits
+from .graphs import EnvelopeError, Graph
 
 
 class ParseError(ValueError):

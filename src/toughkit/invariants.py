@@ -5,10 +5,12 @@ Toughness of a connected non-complete graph is min |S| / c(G - S) over all
 cut-sets S, computed here with exact rationals throughout.  The optimized
 solver finds the value either by a frontier DP with Dinkelbach iteration or
 by a subset sweep pruned by connectivity, independence number and a running
-best, whichever its work estimate says is cheaper for the input.  The
-oracle walks every subset with none of that and exists only to gate the
-solver.  Both report the same witness: the minimizing cut-set with the
-smallest bitmask value (ties beyond that cannot occur).
+best, whichever its work estimate says is cheaper for the input.  Either
+path ranks cut-sets by ratio and then by bitmask, so the pass that proves
+the value also holds the witness.  The oracle walks every subset with none
+of that and exists only to gate the solver.  Both report the same witness:
+the minimizing cut-set with the smallest bitmask value (ties beyond that
+cannot occur).
 """
 
 from __future__ import annotations
@@ -148,6 +150,26 @@ def _subsets_of_size(n: int, s: int):
         x = ((r ^ x) >> (c.bit_length() + 1)) | r
 
 
+def _cuts(tables: list[list[int]], n: int, s: int, top: int | None = None):
+    """(S, k) for every size-s cut-set S leaving k >= 2 components, ascending.
+
+    ``top`` restricts to the sets whose highest vertex is ``top``.
+    """
+    full = (1 << n) - 1
+    width, hi = (n, 0) if top is None else (top, 1 << top)
+    for sub in _subsets_of_size(width, s - hi.bit_count()):
+        x = sub | hi
+        k = _count_components(full & ~x, tables)
+        if k >= 2:
+            yield x, k
+
+
+def _beats(s: int, k: int, x: int, best: tuple[int, int, int]) -> bool:
+    """Whether cut-set x (size s, k components) precedes ``best`` by ratio, then mask."""
+    bs, bk, bx = best
+    return s * bk < bs * k or (s * bk == bs * k and x < bx)
+
+
 # ---------------------------------------------------------------------------
 # toughness, optimized path
 
@@ -156,7 +178,7 @@ def toughness(g: Graph, workers: int = 1):
 
     Disconnected graphs get value 0 via the empty cut-set.  The witness is
     the minimizing cut-set of smallest bitmask value, matching the oracle's
-    tie-break exactly.
+    tie-break exactly; it comes from the same pass that proves the value.
     """
     comps = components(g)
     if len(comps) > 1:
@@ -165,30 +187,29 @@ def toughness(g: Graph, workers: int = 1):
         return INFINITE
     alpha, _ = independence_number(g)
     kappa = connectivity(g).kappa
-    best_s, best_k = _isolation_seed(g)
-    steps = _dp_steps(g, max(1, kappa), alpha, best_s, best_k)
-    found = None if steps is None else _dinkelbach(steps, best_s, best_k)
+    seed = _isolation_seed(g)
+    steps = _dp_steps(g, max(1, kappa), alpha, seed[0], seed[1])
+    found = None if steps is None else _dinkelbach(steps, seed[0], seed[1])
     if found is None:
-        found = _sweep_value(g, kappa, alpha, best_s, best_k, workers)
-    value = Fraction(*found)
-    witness = _lex_min_witness(g, value, alpha)
-    return ToughnessCertificate(value, witness, len(components(g, witness)))
+        found = _sweep_value(g, kappa, alpha, seed, workers)
+    s, k, witness = found
+    return ToughnessCertificate(Fraction(s, k), witness, k)
 
 
-def _isolation_seed(g: Graph) -> tuple[int, int]:
-    """Warm-start ratio from single-vertex isolating cuts S = N(v)."""
+def _isolation_seed(g: Graph) -> tuple[int, int, int]:
+    """Warm-start (|S|, k, S): the first isolating cut N(v) by ratio, then mask."""
     tables = _union_tables(g.adj, g.n)
     full = g.full_mask
-    best_s = best_k = 0
+    best = None
     for v in range(g.n):
         cut = g.adj[v]
         k = _count_components(full & ~cut, tables)
-        if k >= 2 and (best_k == 0 or cut.bit_count() * best_k < best_s * k):
-            best_s, best_k = cut.bit_count(), k
+        if k >= 2 and (best is None or _beats(cut.bit_count(), k, cut, best)):
+            best = (cut.bit_count(), k, cut)
     # connected non-complete: isolating some vertex always leaves >= 2 parts
-    if best_k < 2:
+    if best is None:
         raise RuntimeError("no isolating cut-set in a connected non-complete graph")
-    return best_s, best_k
+    return best
 
 
 def _sweep_sizes(n: int, start: int, alpha: int, p: int, q: int):
@@ -205,79 +226,50 @@ def _sweep_sizes(n: int, start: int, alpha: int, p: int, q: int):
         yield s
 
 
-def _scan_size(adj: tuple[int, ...], n: int, s: int, best_s: int, best_k: int,
-               top: int | None = None) -> tuple[int, int]:
-    """Best ratio among size-s cut-sets; ``top`` restricts to max vertex = top."""
-    tables = _union_tables(adj, n)
-    full = (1 << n) - 1
-    if top is None:
-        stream = _subsets_of_size(n, s)
-    else:
-        hi = 1 << top
-        stream = (sub | hi for sub in _subsets_of_size(top, s - 1))
-    for x in stream:
-        k = _count_components(full & ~x, tables)
-        if k >= 2 and s * best_k < best_s * k:
-            best_s, best_k = s, k
-    return best_s, best_k
+def _scan_size(tables: list[list[int]], n: int, s: int, kcap: int,
+               best: tuple[int, int, int], top: int | None = None) -> tuple[int, int, int]:
+    """First of ``best`` and the size-s cut-sets in (ratio, mask) order.
+
+    ``kcap`` bounds the components a size-s cut-set can leave.  When even
+    that cannot beat the best ratio, only a tie with a smaller mask can
+    win, so the scan stops at the first cut-set past the best mask.
+    """
+    for x, k in _cuts(tables, n, s, top):
+        if x >= best[2] and s * best[1] >= best[0] * kcap:
+            break
+        if _beats(s, k, x, best):
+            best = (s, k, x)
+    return best
 
 
 def _scan_size_task(args):
     return _scan_size(*args)
 
 
-def _sweep_value(g: Graph, kappa: int, alpha: int, best_s: int, best_k: int,
-                 workers: int) -> tuple[int, int]:
-    """Size-major sweep for the optimal ratio.
+def _sweep_value(g: Graph, kappa: int, alpha: int, best: tuple[int, int, int],
+                 workers: int) -> tuple[int, int, int]:
+    """Size-major sweep for the first cut-set in (ratio, mask) order.
 
-    Cut-sets are at least kappa large, and the sweep stops by the
-    ``_sweep_sizes`` bound, checked against the running best.
+    Cut-sets are at least kappa large.  A size-s cut-set leaves at most
+    min(n - s, alpha) components, so the sweep stops at the first size
+    where even that ratio is worse than the running best; the size where
+    it only ties is still scanned, for a smaller optimal mask.
     """
-    n, adj = g.n, g.adj
+    n = g.n
+    tables = _union_tables(g.adj, n)
     with worker_pool(workers) as pmap:
         for s in range(max(1, kappa), n - 1):
             kcap = min(n - s, alpha)
-            if kcap < 2 or s * best_k >= best_s * kcap:
+            if kcap < 2 or s * best[1] > best[0] * kcap:
                 break
             if workers == 1:
-                best_s, best_k = _scan_size(adj, n, s, best_s, best_k)
+                best = _scan_size(tables, n, s, kcap, best)
             else:
                 # partition the size class by highest vertex; merge exactly
-                tasks = [(adj, n, s, best_s, best_k, top) for top in range(s - 1, n)]
-                for cs, ck in pmap(_scan_size_task, tasks):
-                    if ck and cs * best_k < best_s * ck:
-                        best_s, best_k = cs, ck
-    return best_s, best_k
-
-
-def _lex_min_witness(g: Graph, value: Fraction, alpha: int) -> VertexSet:
-    """Smallest-bitmask cut-set achieving the optimal ratio exactly.
-
-    Candidate sizes are p*j with required component count q*j; sizes are
-    scanned ascending and a size is skipped once even its smallest mask
-    cannot beat the current candidate.
-    """
-    n, adj = g.n, g.adj
-    tables = _union_tables(adj, n)
-    full = g.full_mask
-    p, q = value.numerator, value.denominator
-    best = None
-    j = 2 if q == 1 else 1
-    while True:
-        s, k = p * j, q * j
-        if s > n - 2 or k > min(n - s, alpha):
-            break
-        if best is not None and (1 << s) - 1 >= best:
-            break
-        for x in _subsets_of_size(n, s):
-            if best is not None and x >= best:
-                break
-            if _count_components(full & ~x, tables) == k:
-                best = x
-                break
-        j += 1
-    if best is None:
-        raise RuntimeError(f"no cut-set attains the established toughness {value}")
+                tasks = [(tables, n, s, kcap, best, top) for top in range(s - 1, n)]
+                for cand in pmap(_scan_size_task, tasks):
+                    if _beats(*cand, best):
+                        best = cand
     return best
 
 
@@ -290,7 +282,11 @@ def _lex_min_witness(g: Graph, value: Fraction, alpha: int) -> VertexSet:
 # of its block in the partition of the placed non-S vertices into partial
 # components, plus the count of closed components capped at 2.  At a fixed
 # ratio t = a/b the objective b*|S| - a*k(G - S) is additive over placements,
-# so each state carries its minimum together with that cut-set's (|S|, k).
+# so each state carries its minimum together with that cut-set's mask and k.
+# Two partial cut-sets in one state get the same completions, on unplaced
+# vertices disjoint from both, so the one with the smaller mask stays the
+# smaller after any completion; keeping it on ties makes the final minimum
+# the smallest-mask minimizer.
 
 # Below this many subsets a sweep is too cheap to be worth an ordering.
 _DP_MIN_SWEEP_WORK = 1 << 12
@@ -304,7 +300,8 @@ def _frontier_plan(g: Graph) -> tuple[list[tuple], list[int]]:
     Each step places the unplaced vertex that leaves the smallest frontier,
     breaking ties by most placed neighbours, then by vertex id.  A step is
     (frontier positions of the new vertex's neighbours, positions of the
-    grown frontier that stay in it); the width is the frontier size after it.
+    grown frontier that stay in it, the new vertex's bit); the width is the
+    frontier size after it.
     """
     n, adj = g.n, g.adj
     placed = 0
@@ -325,7 +322,7 @@ def _frontier_plan(g: Graph) -> tuple[list[tuple], list[int]]:
         placed |= 1 << v
         grown = front + [v]
         keep = tuple(i for i, u in enumerate(grown) if adj[u] & ~placed)
-        steps.append((tuple(i for i, u in enumerate(front) if adj[v] >> u & 1), keep))
+        steps.append((tuple(i for i, u in enumerate(front) if adj[v] >> u & 1), keep, 1 << v))
         front = [grown[i] for i in keep]
         widths.append(len(front))
     return steps, widths
@@ -373,23 +370,24 @@ def _place(labels: tuple, nbrs: tuple, keep: tuple, in_cut: bool) -> tuple[tuple
 
 
 def _frontier_dp(steps: list[tuple], a: int, b: int) -> tuple[int, int, int] | None:
-    """Minimum of b*|S| - a*k(G - S) over cut-sets S, as (minimum, |S|, k).
+    """Minimum of b*|S| - a*k(G - S) over cut-sets S, as (minimum, S, k).
 
-    Ties go to the smaller |S|, then the smaller k.  None when the live
-    states pass ``_DP_MAX_STATES``.
+    Ties go to the smaller mask S, which is exact (see above), so at a
+    ratio with minimum 0 the S returned is the smallest-mask cut-set of
+    that ratio.  None when the live states pass ``_DP_MAX_STATES``.
     """
     states = {((), 0): (0, 0, 0)}
-    for nbrs, keep in steps:
+    for nbrs, keep, bit in steps:
         moves: dict[tuple, tuple] = {}
         nxt: dict[tuple, tuple[int, int, int]] = {}
-        for (labels, capped), (val, s, k) in states.items():
+        for (labels, capped), (val, x, k) in states.items():
             pair = moves.get(labels)
             if pair is None:
                 pair = moves[labels] = (_place(labels, nbrs, keep, True),
                                         _place(labels, nbrs, keep, False))
-            for cut, (lab, closed) in zip((1, 0), pair):
+            for (cost, add), (lab, closed) in zip(((b, bit), (0, 0)), pair):
                 key = (lab, min(2, capped + closed))
-                cand = (val + b * cut - a * closed, s + cut, k + closed)
+                cand = (val + cost - a * closed, x | add, k + closed)
                 old = nxt.get(key)
                 if old is None or cand < old:
                     nxt[key] = cand
@@ -402,24 +400,25 @@ def _frontier_dp(steps: list[tuple], a: int, b: int) -> tuple[int, int, int] | N
     return final
 
 
-def _dinkelbach(steps: list[tuple], s: int, k: int) -> tuple[int, int] | None:
-    """Optimal (|S|, k) by Dinkelbach's iteration from a known cut-set (s, k).
+def _dinkelbach(steps: list[tuple], s: int, k: int) -> tuple[int, int, int] | None:
+    """Optimal (|S|, k, S) by Dinkelbach's iteration from a known cut-set (s, k).
 
     At t = s/k the DP minimum is at most 0, because the known cut-set scores
     0; a negative minimum names a cut-set of strictly smaller ratio to
-    re-solve at, and a zero minimum proves t optimal.  None when the DP
-    passes its state ceiling.
+    re-solve at, and a zero minimum proves t optimal.  The pass that proves
+    it has ranked the cut-sets of ratio t by mask, so its S is the lex-min
+    witness.  None when the DP passes its state ceiling.
     """
     while True:
         found = _frontier_dp(steps, s, k)
         if found is None:
             return None
-        val, s2, k2 = found
+        val, x, k2 = found
         if val > 0:
             raise RuntimeError(f"frontier DP missed the known cut-set of ratio {s}/{k}")
+        s, k = x.bit_count(), k2
         if val == 0:
-            return s, k
-        s, k = s2, k2
+            return s, k, x
 
 
 # ---------------------------------------------------------------------------
@@ -515,11 +514,9 @@ def is_t_tough(g: Graph, t) -> tuple[bool, VertexSet | None]:
         if found is not None and found[0] >= 0:
             return True, None
     tables = _union_tables(adj, n)
-    full = g.full_mask
     for s in _sweep_sizes(n, 1, alpha, p, q):
-        for x in _subsets_of_size(n, s):
-            k = _count_components(full & ~x, tables)
-            if k >= 2 and s * q < p * k:
+        for x, k in _cuts(tables, n, s):
+            if s * q < p * k:
                 return False, x
     return True, None
 
@@ -703,13 +700,7 @@ def cutsets_of_size(g: Graph, s: int) -> list[VertexSet]:
         raise ValueError(f"cut-set size must be positive, got {s}")
     if s > g.n - 2:
         return []
-    tables = _union_tables(g.adj, g.n)
-    full = g.full_mask
-    out = []
-    for x in _subsets_of_size(g.n, s):
-        if _count_components(full & ~x, tables) >= 2:
-            out.append(x)
-    return out
+    return [x for x, _ in _cuts(_union_tables(g.adj, g.n), g.n, s)]
 
 
 # ---------------------------------------------------------------------------

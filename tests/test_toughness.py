@@ -50,6 +50,9 @@ FIXTURE_VALUES = [
     (lambda: build_jm(3).graph, Fraction(2), 27, 2),
     (lambda: build_jm(4).graph, Fraction(7, 4), 1882, 4),
     (lambda: build_jm(5).graph, Fraction(2), 99, 2),
+    # the isolation seed {3} (mask 8) ties the optimum; only a sweep that
+    # also scans the tie size finds the smaller mask {1}
+    (lambda: from_edges(5, [(0, 1), (0, 4), (1, 3), (1, 4), (2, 3)]), Fraction(1, 2), 0b00010, 2),
 ]
 
 
@@ -203,15 +206,22 @@ def test_next_rational_fails(rng):
 # ---------------------------------------------------------------------------
 # frontier DP value path
 
-def _dp_value(g):
+def _dp_result(g):
+    """(value, witness, k) from Dinkelbach's iteration on the DP alone."""
     steps, _ = _frontier_plan(g)
-    return Fraction(*_dinkelbach(steps, *_isolation_seed(g)))
+    s, k, witness = _dinkelbach(steps, *_isolation_seed(g)[:2])
+    return Fraction(s, k), witness, k
+
+
+def _dp_value(g):
+    return _dp_result(g)[0]
 
 
 def _dp_chosen(g):
     """Whether toughness() takes the DP path for g (its cost rule)."""
     alpha, _ = independence_number(g)
-    return _dp_steps(g, max(1, connectivity(g).kappa), alpha, *_isolation_seed(g)) is not None
+    return _dp_steps(g, max(1, connectivity(g).kappa), alpha,
+                     *_isolation_seed(g)[:2]) is not None
 
 
 def test_dp_value_matches_oracle_on_randoms(rng):
@@ -222,15 +232,20 @@ def test_dp_value_matches_oracle_on_randoms(rng):
         o = toughness_oracle(g)
         if o is INFINITE:
             continue
-        assert _dp_value(g) == o.value, g.edges()
+        assert _dp_result(g) == (o.value, o.witness_cut, o.component_count), g.edges()
         checked += 1
 
 
-# J_8's witness and component count come from the subset sweep at the commit
-# before the DP existed (33 s there); the DP must reproduce that certificate
 JM_VALUES = {3: Fraction(2), 4: Fraction(7, 4), 5: Fraction(2), 6: Fraction(11, 6),
              7: Fraction(2), 8: Fraction(15, 8), 9: Fraction(2)}
-J8_WITNESS = [1, 3, 5, 7, 8, 10, 12, 14, 16, 17, 18, 19, 20, 21, 22]
+# J_8's certificate comes from the subset sweep at the commit before the DP
+# existed (33 s there), J_10's from the separate lex-min witness scan that
+# followed the DP value (95.7 s on 2 cores); the DP must reproduce both
+JM_CERTIFICATES = {
+    8: ({"num": 15, "den": 8}, [1, 3, 5, 7, 8, 10, 12, 14, 16, 17, 18, 19, 20, 21, 22], 8),
+    10: ({"num": 19, "den": 10},
+         [1, 3, 5, 7, 9, 10, 12, 14, 16, 18, 20, 21, 22, 23, 24, 25, 26, 27, 28], 10),
+}
 
 
 @pytest.mark.parametrize("m", sorted(JM_VALUES))
@@ -239,13 +254,14 @@ def test_dp_pins_jm_values(m):
     assert _dp_value(g) == JM_VALUES[m]
 
 
-def test_jm8_certificate_matches_the_sweep():
-    g = build_jm(8).graph
+@pytest.mark.parametrize("m", sorted(JM_CERTIFICATES))
+def test_jm_certificates_are_pinned(m):
+    g = build_jm(m).graph
     assert _dp_chosen(g)
     cert = toughness(g)
+    value, witness, k = JM_CERTIFICATES[m]
     assert toughness_json(cert) == {
-        "invariant": "toughness", "value": {"num": 15, "den": 8},
-        "witness": J8_WITNESS, "components": 8,
+        "invariant": "toughness", "value": value, "witness": witness, "components": k,
     }
     assert cert.validate(g)
 
@@ -278,7 +294,7 @@ def test_state_ceiling_falls_back_to_the_sweep(monkeypatch):
     want = toughness(g)
     monkeypatch.setattr(invariants, "_DP_MAX_STATES", 10)
     steps, _ = _frontier_plan(g)
-    assert _dinkelbach(steps, *_isolation_seed(g)) is None
+    assert _dinkelbach(steps, *_isolation_seed(g)[:2]) is None
     assert toughness(g) == want
     assert is_t_tough(g, 2) == (True, None)
 
