@@ -167,9 +167,9 @@ def cmd_gen(args) -> int:
 # ---------------------------------------------------------------------------
 # invariant
 
-def _invariant_payload(which: str, g: Graph, workers: int) -> dict:
+def _invariant_payload(which: str, g: Graph) -> dict:
     if which == "toughness":
-        return toughness_json(toughness(g, workers=workers))
+        return toughness_json(toughness(g))
     if which == "connectivity":
         return connectivity_json(connectivity(g))
     if which == "independence":
@@ -199,7 +199,7 @@ def _invariant_table(payload: dict) -> str:
 
 def cmd_invariant(args) -> int:
     g = _load_graph(args)
-    payload = _invariant_payload(args.which, g, args.workers)
+    payload = _invariant_payload(args.which, g)
     if args.format == "table":
         sys.stdout.write(_invariant_table(payload))
     else:
@@ -300,6 +300,10 @@ def cmd_census(args) -> int:
 def cmd_corpus(args) -> int:
     if args.min_n < 2 or args.max_n < args.min_n:
         raise UsageError("need 2 <= min-n <= max-n")
+    if args.count < 0:
+        raise UsageError(f"need count >= 0, got {args.count}")
+    if not 0 < args.p <= 1:
+        raise UsageError(f"need 0 < p <= 1, got {args.p}")
     rng = random.Random(args.seed)
     out = []
     for _ in range(args.count):
@@ -325,10 +329,9 @@ def _worker_count(text: str) -> int:
     return workers
 
 
-def _add_workers(sub) -> None:
+def _add_workers(sub, text: str = "worker processes, capped at the machine's core count") -> None:
     sub.add_argument("--workers", type=_worker_count, default=os.cpu_count() or 1,
-                     help="worker processes, capped at the machine's core count "
-                          "(default: machine parallelism)")
+                     help=f"{text} (default: machine parallelism)")
 
 
 def _add_input(sub) -> None:
@@ -361,7 +364,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_input(inv)
     inv.add_argument("--input-format", choices=("graph6", "edges"), default="graph6")
     inv.add_argument("--format", choices=("json", "table"), default="json")
-    _add_workers(inv)
+    _add_workers(inv, "accepted for compatibility; invariants run in one process")
     inv.set_defaults(handler=cmd_invariant)
 
     ver = subs.add_parser("verify", help="run the claim ledger")

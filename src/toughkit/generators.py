@@ -163,9 +163,15 @@ def line_graph(g: Graph) -> Graph:
 
 
 def random_connected_graph(n: int, rng: random.Random, p: float = 0.5) -> Graph:
-    """Seeded connected G(n, p) by rejection; deterministic for a given rng state."""
+    """Seeded connected G(n, p) by rejection; deterministic for a given rng state.
+
+    Needs 0 < p <= 1: at p <= 0 no sample is ever connected, and p > 1
+    is not a probability.
+    """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    if not 0 < p <= 1:
+        raise ValueError(f"need 0 < p <= 1, got {p}")
     while True:
         edges = [
             (i, j)

@@ -5,8 +5,10 @@ Toughness of a connected non-complete graph is min |S| / c(G - S) over all
 cut-sets S, computed here with exact rationals throughout.  The optimized
 solver finds the value either by a frontier DP with Dinkelbach iteration or
 by a subset sweep pruned by connectivity, independence number and a running
-best, whichever its work estimate says is cheaper for the input.  Either
-path ranks cut-sets by ratio and then by bitmask, so the pass that proves
+best, whichever its work estimate says is cheaper for the input.  At each
+size the sweep tries every subset, or only the sets that a forcing lemma
+allows around an independent set of component representatives, whichever
+is fewer.  Either path ranks cut-sets by ratio and then by bitmask, so the pass that proves
 the value also holds the witness.  The oracle walks every subset with none
 of that and exists only to gate the solver.  Both report the same witness:
 the minimizing cut-set with the smallest bitmask value (ties beyond that
@@ -150,18 +152,74 @@ def _subsets_of_size(n: int, s: int):
         x = ((r ^ x) >> (c.bit_length() + 1)) | r
 
 
-def _cuts(tables: list[list[int]], n: int, s: int, top: int | None = None):
-    """(S, k) for every size-s cut-set S leaving k >= 2 components, ascending.
+def _cuts(tables: list[list[int]], n: int, s: int, reps=None):
+    """(S, k) for size-s cut-sets S leaving k >= 2 components.
 
-    ``top`` restricts to the sets whose highest vertex is ``top``.
+    Plain, every size-s set is tried, in ascending mask order.  With
+    ``reps`` (from ``_representatives``) only the supersets of each F(I)
+    that avoid I are tried, in no set order and possibly more than once;
+    by the forcing lemma that still covers every size-s cut-set leaving at
+    least |I| components.
     """
     full = (1 << n) - 1
-    width, hi = (n, 0) if top is None else (top, 1 << top)
-    for sub in _subsets_of_size(width, s - hi.bit_count()):
-        x = sub | hi
-        k = _count_components(full & ~x, tables)
-        if k >= 2:
-            yield x, k
+    if reps is None:
+        for x in _subsets_of_size(n, s):
+            k = _count_components(full & ~x, tables)
+            if k >= 2:
+                yield x, k
+        return
+    for forced, nf, free in reps:
+        if nf <= s:
+            for combo in combinations(free, s - nf):
+                x = forced | sum(combo)
+                k = _count_components(full & ~x, tables)
+                if k >= 2:
+                    yield x, k
+
+
+def _representatives(adj: tuple[int, ...], n: int, k: int) -> list[tuple[int, int, tuple]]:
+    """(F(I), |F(I)|, bits of V minus I and F(I)) for every independent k-set I.
+
+    Forcing lemma: if G - S has at least k components, let I hold the least
+    vertex of each of the k components whose least vertices are smallest.
+    I is independent and disjoint from S, and S contains F(I): the common
+    neighbours of every pair in I, and each a in I's neighbours below a
+    (a neighbour below a is outside a's component, so it is in S).
+    """
+    full = (1 << n) - 1
+    out = []
+
+    def grow(cand: int, chosen: int, nbrs: int, forced: int, left: int) -> None:
+        if not left:
+            free = full & ~(chosen | forced)
+            out.append((forced, forced.bit_count(), tuple(1 << v for v in bits(free))))
+            return
+        while cand.bit_count() >= left:
+            low = cand & -cand
+            cand ^= low
+            row = adj[low.bit_length() - 1]
+            grow(cand & ~row, chosen | low, nbrs | row, forced | row & (nbrs | low - 1), left - 1)
+
+    grow(full, 0, 0, 0, k)
+    return out
+
+
+def _size_cuts(g: Graph, tables: list[list[int]], s: int, k: int, reps: dict):
+    """``_cuts`` of size s from whichever source tries fewer sets, covering
+    every size-s cut-set that leaves at least k components.
+
+    The independent k-sets are listed, once per k into ``reps``, only when
+    C(n, k) <= C(n, s), so listing them never costs more than the plain walk.
+    """
+    n = g.n
+    plain = comb(n, s)
+    if comb(n, k) <= plain:
+        if k not in reps:
+            reps[k] = _representatives(g.adj, n, k)
+        work = sum(comb(len(free), s - nf) for _, nf, free in reps[k] if nf <= s)
+        if work < plain:
+            return _cuts(tables, n, s, reps[k])
+    return _cuts(tables, n, s)
 
 
 def _beats(s: int, k: int, x: int, best: tuple[int, int, int]) -> bool:
@@ -173,7 +231,7 @@ def _beats(s: int, k: int, x: int, best: tuple[int, int, int]) -> bool:
 # ---------------------------------------------------------------------------
 # toughness, optimized path
 
-def toughness(g: Graph, workers: int = 1):
+def toughness(g: Graph):
     """Exact toughness with certificate; INFINITE for complete graphs.
 
     Disconnected graphs get value 0 via the empty cut-set.  The witness is
@@ -191,7 +249,7 @@ def toughness(g: Graph, workers: int = 1):
     steps = _dp_steps(g, max(1, kappa), alpha, seed[0], seed[1])
     found = None if steps is None else _dinkelbach(steps, seed[0], seed[1])
     if found is None:
-        found = _sweep_value(g, kappa, alpha, seed, workers)
+        found = _sweep_value(g, kappa, alpha, seed)
     s, k, witness = found
     return ToughnessCertificate(Fraction(s, k), witness, k)
 
@@ -226,50 +284,27 @@ def _sweep_sizes(n: int, start: int, alpha: int, p: int, q: int):
         yield s
 
 
-def _scan_size(tables: list[list[int]], n: int, s: int, kcap: int,
-               best: tuple[int, int, int], top: int | None = None) -> tuple[int, int, int]:
-    """First of ``best`` and the size-s cut-sets in (ratio, mask) order.
-
-    ``kcap`` bounds the components a size-s cut-set can leave.  When even
-    that cannot beat the best ratio, only a tie with a smaller mask can
-    win, so the scan stops at the first cut-set past the best mask.
-    """
-    for x, k in _cuts(tables, n, s, top):
-        if x >= best[2] and s * best[1] >= best[0] * kcap:
-            break
-        if _beats(s, k, x, best):
-            best = (s, k, x)
-    return best
-
-
-def _scan_size_task(args):
-    return _scan_size(*args)
-
-
-def _sweep_value(g: Graph, kappa: int, alpha: int, best: tuple[int, int, int],
-                 workers: int) -> tuple[int, int, int]:
+def _sweep_value(g: Graph, kappa: int, alpha: int,
+                 best: tuple[int, int, int]) -> tuple[int, int, int]:
     """Size-major sweep for the first cut-set in (ratio, mask) order.
 
     Cut-sets are at least kappa large.  A size-s cut-set leaves at most
     min(n - s, alpha) components, so the sweep stops at the first size
     where even that ratio is worse than the running best; the size where
-    it only ties is still scanned, for a smaller optimal mask.
+    it only ties is still scanned, for a smaller optimal mask.  At size s
+    only cut-sets leaving at least ceil(s * best_k / best_s) components can
+    beat or tie the best, which is the k ``_size_cuts`` walks for.
     """
     n = g.n
     tables = _union_tables(g.adj, n)
-    with worker_pool(workers) as pmap:
-        for s in range(max(1, kappa), n - 1):
-            kcap = min(n - s, alpha)
-            if kcap < 2 or s * best[1] > best[0] * kcap:
-                break
-            if workers == 1:
-                best = _scan_size(tables, n, s, kcap, best)
-            else:
-                # partition the size class by highest vertex; merge exactly
-                tasks = [(tables, n, s, kcap, best, top) for top in range(s - 1, n)]
-                for cand in pmap(_scan_size_task, tasks):
-                    if _beats(*cand, best):
-                        best = cand
+    reps: dict = {}
+    for s in range(max(1, kappa), n - 1):
+        kcap = min(n - s, alpha)
+        if kcap < 2 or s * best[1] > best[0] * kcap:
+            break
+        for x, k in _size_cuts(g, tables, s, max(2, -(-s * best[1] // best[0])), reps):
+            if _beats(s, k, x, best):
+                best = (s, k, x)
     return best
 
 
@@ -514,10 +549,13 @@ def is_t_tough(g: Graph, t) -> tuple[bool, VertexSet | None]:
         if found is not None and found[0] >= 0:
             return True, None
     tables = _union_tables(adj, n)
+    reps: dict = {}
     for s in _sweep_sizes(n, 1, alpha, p, q):
-        for x, k in _cuts(tables, n, s):
-            if s * q < p * k:
-                return False, x
+        # a size-s cut-set violates iff it leaves more than s * q / p components
+        cuts = _size_cuts(g, tables, s, max(2, s * q // p + 1), reps)
+        witness = min((x for x, k in cuts if s * q < p * k), default=None)
+        if witness is not None:
+            return False, witness
     return True, None
 
 

@@ -111,9 +111,24 @@ def induced_stars_naive(g: Graph, k: int) -> list[tuple[int, frozenset]]:
     return out
 
 
-def cutsets_naive(g: Graph, s: int) -> set[frozenset]:
+def cutsets_naive(g: Graph, s: int, k: int = 2) -> set[frozenset]:
+    """Every s-set whose removal leaves at least k components."""
     out = set()
     for combo in combinations(range(g.n), s):
-        if len(components_naive(g, frozenset(combo))) >= 2:
+        if len(components_naive(g, frozenset(combo))) >= k:
             out.add(frozenset(combo))
     return out
+
+
+def first_violation_naive(g: Graph, t) -> tuple[bool, int | None]:
+    """is_t_tough's contract: (False, S) for the violation |S| < t * c(G - S)
+    with c >= 2 that comes first by size, then by bitmask; else (True, None)."""
+    for s in range(g.n + 1):
+        hits = []
+        for combo in combinations(range(g.n), s):
+            k = len(components_naive(g, frozenset(combo)))
+            if k >= 2 and s < t * k:
+                hits.append(sum(1 << v for v in combo))
+        if hits:
+            return False, min(hits)
+    return True, None

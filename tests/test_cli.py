@@ -398,3 +398,20 @@ def test_corpus_bounds_checked(capsys):
     assert run_cli(capsys, "corpus", "--seed", "1", "--min-n", "1")[0] == USAGE
     assert run_cli(capsys, "corpus", "--seed", "1", "--min-n", "9",
                    "--max-n", "4")[0] == USAGE
+
+
+@pytest.mark.parametrize("flags", [
+    ("--p", "-1"),       # used to loop forever: no sample is ever connected
+    ("--p", "0"),
+    ("--p", "1.5"),      # used to emit complete graphs
+    ("--count", "-3"),   # used to exit 0 with no output
+    ("--count", "0", "--p", "-1"),
+])
+def test_corpus_rejects_bad_p_and_count(capsys, flags):
+    code, out, err = run_cli(capsys, "corpus", "--seed", "1", "--count", "2", *flags)
+    assert code == USAGE and out == ""
+    assert "p <= 1" in err or "count >= 0" in err
+
+
+def test_corpus_count_zero_is_empty(capsys):
+    assert run_cli(capsys, "corpus", "--seed", "1", "--count", "0") == (OK, "", "")

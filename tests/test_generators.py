@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from toughkit import bits, build_jm, canonical_form, complement, from_edges
@@ -113,7 +115,18 @@ def test_random_connected_graph_is_connected(rng):
 
 
 def test_random_connected_graph_seed_determinism():
-    import random
     a = random_connected_graph(8, random.Random(7), p=0.5)
     b = random_connected_graph(8, random.Random(7), p=0.5)
     assert a.adj == b.adj
+
+
+@pytest.mark.parametrize("p", [0, -1, 1.5, float("nan")])
+def test_random_connected_graph_rejects_bad_p(p):
+    # p <= 0 used to loop forever: no sample is ever connected
+    with pytest.raises(ValueError, match="0 < p <= 1"):
+        random_connected_graph(5, random.Random(1), p=p)
+
+
+def test_random_connected_graph_accepts_p_one():
+    g = random_connected_graph(5, random.Random(1), p=1)
+    assert g.is_complete()

@@ -1,4 +1,9 @@
+import hashlib
+import io
+import json
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +19,8 @@ from toughkit import (
     toughness,
     toughness_oracle,
 )
+from toughkit.cli import main
+from toughkit.formats import parse_graph6, serialize_graph6
 from toughkit.generators import (
     complete,
     cycle,
@@ -26,12 +33,23 @@ from toughkit.generators import (
 )
 from toughkit.graphs import EnvelopeError, components
 from toughkit.invariants import (
+    _cuts,
     _dinkelbach,
     _dp_steps,
     _frontier_plan,
     _isolation_seed,
+    _representatives,
+    _size_cuts,
+    _union_tables,
     toughness_json,
 )
+
+from oracles import cutsets_naive, first_violation_naive
+
+# graph6 -> output digests of the four invariant commands, recorded from the
+# benchmark's corpus pool (336 labelings of 42 random graphs, n 14-20)
+CORPUS = json.loads(
+    (Path(__file__).parents[1] / "perfbench" / "expected.json").read_text())["corpus"]
 
 # value, lex-min witness mask, component count; all derived by the unpruned
 # 2^n oracle and frozen here
@@ -117,20 +135,30 @@ def test_solver_matches_oracle_on_randoms(rng):
                 (o.value, o.witness_cut, o.component_count)
 
 
-def test_workers_do_not_change_results(rng):
+def _invariant_toughness(capsys, monkeypatch, g6, *argv):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(g6 + "\n"))
+    code = main(["invariant", "toughness", "--stdin", *argv])
+    out = capsys.readouterr().out
+    assert code == 0, g6
+    return out
+
+
+def test_workers_do_not_change_results(rng, capsys, monkeypatch):
     for _ in range(8):
         g = random_connected_graph(rng.randrange(6, 10), rng, p=0.4)
-        a = toughness(g, workers=1)
-        b = toughness(g, workers=3)
-        if a is INFINITE:
-            assert b is INFINITE
-            continue
-        assert (a.value, a.witness_cut) == (b.value, b.witness_cut)
         oa = toughness_oracle(g, workers=1)
         ob = toughness_oracle(g, workers=4)
+        if oa is INFINITE:
+            assert ob is INFINITE
+            continue
         assert (oa.value, oa.witness_cut) == (ob.value, ob.witness_cut)
-    jm7 = build_jm(7).graph
-    assert toughness(jm7, workers=1) == toughness(jm7, workers=2)
+    # toughness itself runs in one process; the CLI still takes --workers
+    # and its output must not depend on it
+    by_edges = {len(parse_graph6(g6).edges()): g6 for g6 in sorted(CORPUS)}
+    densest = [g6 for _, g6 in sorted(by_edges.items())[-5:]]
+    for g6 in [serialize_graph6(build_jm(7).graph)] + densest:
+        outs = {_invariant_toughness(capsys, monkeypatch, g6, "--workers", w) for w in "12"}
+        assert len(outs) == 1, g6
 
 
 def test_toughness_at_most_half_connectivity(rng):
@@ -306,3 +334,46 @@ def test_is_t_tough_dp_path_keeps_sweep_witness():
     assert is_t_tough(g, Fraction(11, 6)) == (True, None)
     ok, witness = is_t_tough(g, Fraction(2))
     assert not ok and witness == 128362
+
+
+# ---------------------------------------------------------------------------
+# the sweep's representative walk and the "no" path
+
+def test_forcing_lemma_walk_covers_every_separating_set(rng):
+    # every s-set leaving >= k components contains F(I) for the least
+    # vertices I of its first k components, so the walk over the F(I)
+    # supersets (and the per-size choice of source) must yield it
+    for _ in range(100):
+        n = rng.randrange(5, 13)
+        g = random_connected_graph(n, rng, p=rng.choice([0.2, 0.35, 0.5, 0.7]))
+        tables = _union_tables(g.adj, n)
+        chosen_reps: dict = {}
+        for k in range(2, independence_number(g)[0] + 1):
+            reps = _representatives(g.adj, n, k)
+            for s in range(1, n - 1):
+                want = {mask_of(c) for c in cutsets_naive(g, s, k)}
+                walked = {x for x, _ in _cuts(tables, n, s, reps)}
+                chosen = {x for x, _ in _size_cuts(g, tables, s, k, chosen_reps)}
+                assert want <= walked, (g.edges(), s, k, want - walked)
+                assert want <= chosen, (g.edges(), s, k, want - chosen)
+
+
+def test_is_t_tough_matches_first_violation_oracle(rng):
+    ts = [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)]
+    for _ in range(60):
+        n = rng.randrange(4, 12)
+        g = random_connected_graph(n, rng, p=rng.choice([0.2, 0.35, 0.5, 0.7]))
+        for t in ts:
+            assert is_t_tough(g, t) == first_violation_naive(g, t), (g.edges(), t)
+
+
+def test_is_t_tough_jm8_no_path_is_pinned():
+    # (False, 8345002) was recorded from the ordered sweep before the
+    # representative walk existed (26 s there)
+    assert is_t_tough(build_jm(8).graph, 2) == (False, 8345002)
+
+
+def test_corpus_certificates_are_pinned(capsys, monkeypatch):
+    for g6, digests in sorted(CORPUS.items()):
+        out = _invariant_toughness(capsys, monkeypatch, g6)
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == digests[0], g6
