@@ -23,7 +23,6 @@ from itertools import combinations
 from math import comb
 
 from .graphs import EnvelopeError, Graph, VertexSet, bits, components, mask_of
-from .parallel import worker_pool
 
 ORACLE_MAX_VERTICES = 22
 
@@ -76,10 +75,6 @@ class ToughnessCertificate:
 class ConnectivityCertificate:
     kappa: int
     witness_cut: VertexSet | None  # None marks a complete graph (kappa = n-1)
-
-    @property
-    def is_complete_marker(self) -> bool:
-        return self.witness_cut is None
 
     def validate(self, g: Graph) -> bool:
         if self.witness_cut is None:
@@ -477,49 +472,28 @@ def _oracle_components(adj_sets: list[set[int]], alive: set[int]) -> int:
     return cnt
 
 
-def _oracle_range(adj_sets: list[set[int]], n: int, lo: int, hi: int):
-    """Best (value, mask, k) over masks in [lo, hi); first mask wins ties."""
-    verts = set(range(n))
-    best = None  # (Fraction, mask, k)
-    for mask in range(lo, hi):
-        alive = {v for v in verts if not mask >> v & 1}
-        k = _oracle_components(adj_sets, alive)
-        if k >= 2:
-            val = Fraction(mask.bit_count(), k)
-            if best is None or val < best[0]:
-                best = (val, mask, k)
-    return best
-
-
-def _oracle_range_task(args):
-    return _oracle_range(*args)
-
-
-def toughness_oracle(g: Graph, workers: int = 1):
+def toughness_oracle(g: Graph):
     """Same contract as toughness(), via a full 2^n sweep with no pruning.
 
-    Deliberately naive (set-based BFS, every subset visited) so it shares no
-    search logic with the optimized solver.  Hard cap n <= 22.
+    Deliberately naive (set-based BFS, every subset visited in ascending
+    mask order, so the first strict minimum has the smallest mask) so it
+    shares no search logic with the optimized solver.  Hard cap n <= 22.
     """
     if g.n > ORACLE_MAX_VERTICES:
         raise EnvelopeError(
             f"toughness oracle sweeps 2^n subsets, capped at n <= {ORACLE_MAX_VERTICES}"
         )
     adj_sets = [set(bits(row)) for row in g.adj]
-    n = g.n
-    # 2^ceil(log2(workers)) ranges split by top bits; one range when serial
-    nch = 1 << (workers - 1).bit_length()
-    step = (1 << n) // nch if (1 << n) >= nch else 1
-    ranges = [(adj_sets, n, lo, min(lo + step, 1 << n)) for lo in range(0, 1 << n, step)]
-    with worker_pool(workers) as pmap:
-        results = pmap(_oracle_range_task, ranges)
-    best = None
-    for cand in results:  # ranges are ascending, so first strict min keeps lowest mask
-        if cand is not None and (best is None or cand[0] < best[0]):
-            best = cand
-    if best is None:
-        return INFINITE
-    return ToughnessCertificate(best[0], best[1], best[2])
+    verts = set(range(g.n))
+    best = INFINITE
+    for mask in range(1 << g.n):
+        alive = {v for v in verts if not mask >> v & 1}
+        k = _oracle_components(adj_sets, alive)
+        if k >= 2:
+            val = Fraction(mask.bit_count(), k)
+            if best is INFINITE or val < best.value:
+                best = ToughnessCertificate(val, mask, k)
+    return best
 
 
 # ---------------------------------------------------------------------------

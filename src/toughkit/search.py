@@ -34,7 +34,6 @@ from .invariants import (
 from .parallel import worker_pool
 
 CANONICAL_MAX_VERTICES = 12
-LABELED_ORACLE_MAX_VERTICES = 8
 PREDICATES = ("connected", "claw_free", "has_claw", "supertough")
 
 
@@ -139,12 +138,16 @@ def _max_labeling(n: int, adj) -> list[int]:
     return best_perm
 
 
-def canonical_form(g: Graph) -> str:
-    """Canonical graph6 string: equal for two graphs iff they are isomorphic."""
-    if g.n > CANONICAL_MAX_VERTICES:
+def _check_canonical_order(n: int) -> None:
+    if n > CANONICAL_MAX_VERTICES:
         raise EnvelopeError(
             f"canonical form search is capped at n <= {CANONICAL_MAX_VERTICES}"
         )
+
+
+def canonical_form(g: Graph) -> str:
+    """Canonical graph6 string: equal for two graphs iff they are isomorphic."""
+    _check_canonical_order(g.n)
     if g.n == 1 or _is_max_canonical(g.n, g.adj):
         return serialize_graph6(g)
     perm = _max_labeling(g.n, g.adj)
@@ -259,48 +262,6 @@ def enumerate_regular(n: int, r: int, workers: int = 1) -> list[Graph]:
         return _enumerate(n, r, pmap, workers)
 
 
-def labeled_regular_class_forms(n: int, r: int, connected_only: bool = True) -> set[str]:
-    """Independent check on enumerate_regular: walk every labeled r-regular
-    graph by row-completion backtracking and dedup through canonical_form.
-
-    Exponential in the labeled count, so capped at n <= 8.
-    """
-    if n > LABELED_ORACLE_MAX_VERTICES:
-        raise EnvelopeError(
-            f"labeled enumeration capped at n <= {LABELED_ORACLE_MAX_VERTICES}"
-        )
-    if not 0 <= r < n:
-        raise ValueError(f"need 0 <= r < n, got r={r}, n={n}")
-    if n * r % 2:
-        raise ValueError(f"no {r}-regular graph on {n} vertices (odd degree sum)")
-    rows = [0] * n
-    forms: set[str] = set()
-
-    def rec(v: int) -> None:
-        if v == n:
-            g = Graph(n, tuple(rows))
-            if not connected_only or is_connected(g):
-                forms.add(canonical_form(g))
-            return
-        need = r - rows[v].bit_count()
-        if need < 0:
-            return
-        pool = [u for u in range(v + 1, n) if rows[u].bit_count() < r]
-        if need > len(pool):
-            return
-        for combo in combinations(pool, need):
-            for u in combo:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-            rec(v + 1)
-            for u in combo:
-                rows[u] &= ~(1 << v)
-                rows[v] &= ~(1 << u)
-
-    rec(0)
-    return forms
-
-
 # ---------------------------------------------------------------------------
 # census pipeline
 
@@ -408,8 +369,11 @@ def run_census(spec: SearchSpec, stream=None, workers: int = 1) -> CensusResult:
     reads graph6 lines (malformed or mis-sized lines are recorded per line
     number and skipped).  One pool of ``workers`` processes serves both the
     enumeration and the pipeline.  Results are independent of worker count:
-    counts are sums and survivors are sorted by canonical form.
+    counts are sums and survivors are sorted by canonical form.  Survivors
+    carry canonical forms, so n above the canonical-form cap raises
+    EnvelopeError for either source before any graph is read.
     """
+    _check_canonical_order(spec.n)
     res = CensusResult(spec=spec, counts={"regular": 0})
     for p in _STAGE_ORDER[1:]:
         if p in spec.predicates:

@@ -1,11 +1,22 @@
 """Reference implementations for tests: small, slow, and obviously correct.
 
-Everything here works on plain adjacency sets and itertools so it shares no
-search logic with the package.  The toughness oracle lives in the package
-itself (it is part of the public contract); these cover the rest.
+Everything here reads only ``Graph.n`` and ``Graph.adj`` and works with
+plain sets, bit tests and itertools, so it shares no search logic with the
+package.  The toughness oracle lives in the package itself (it is part of
+the public contract); these cover the rest.
+
+The census is checked without canonical forms, by the orbit-stabilizer
+identity: a graph G on n vertices has n!/|Aut(G)| distinct labelings, so a
+list holding one graph per isomorphism class of connected r-regular graphs
+satisfies sum n!/|Aut(G)| = the number of connected labeled r-regular
+graphs.  A missing class makes the sum fall short; a duplicated class
+fails the pairwise non-isomorphism check, which the sum alone would miss
+only if another class were missing.
 """
 
+from fractions import Fraction
 from itertools import combinations
+from math import factorial
 
 from toughkit import Graph
 
@@ -132,3 +143,95 @@ def first_violation_naive(g: Graph, t) -> tuple[bool, int | None]:
         if hits:
             return False, min(hits)
     return True, None
+
+
+def labeled_regular_count(n: int, r: int) -> int:
+    """Connected labeled r-regular graphs on vertices 0..n-1, counted by
+    completing one adjacency row at a time (no canonical form)."""
+    rows = [0] * n
+    count = 0
+
+    def rec(v: int) -> None:
+        nonlocal count
+        if v == n:
+            reach, stack = 1, [0]  # flood fill from vertex 0
+            while stack:
+                new = rows[stack.pop()] & ~reach
+                reach |= new
+                stack += [u for u in range(n) if new >> u & 1]
+            count += reach == (1 << n) - 1
+            return
+        need = r - rows[v].bit_count()
+        if need < 0:
+            return
+        for combo in combinations([u for u in range(v + 1, n) if rows[u].bit_count() < r], need):
+            for u in combo:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+            rec(v + 1)
+            for u in combo:
+                rows[u] &= ~(1 << v)
+                rows[v] &= ~(1 << u)
+
+    rec(0)
+    return count
+
+
+def _isomorphisms(a: Graph, b: Graph):
+    """Every bijection V(a) -> V(b) preserving adjacency, by backtracking.
+
+    The vertices of ``a`` are mapped in breadth-first order, so each new
+    vertex usually has a mapped neighbour that constrains its image."""
+    n = a.n
+    if b.n != n or sorted(map(int.bit_count, a.adj)) != sorted(map(int.bit_count, b.adj)):
+        return
+    order: list[int] = []
+    for root in range(n):
+        if root in order:
+            continue
+        head = len(order)
+        order.append(root)
+        while head < len(order):
+            x = order[head]
+            head += 1
+            order += [y for y in range(n) if a.adj[x] >> y & 1 and y not in order]
+    image = [0] * n
+
+    def walk(i: int, used: int):
+        if i == n:
+            yield image.copy()
+            return
+        x = order[i]
+        # the images of x's already mapped neighbours must be exactly the
+        # mapped neighbours of x's image
+        want = 0
+        for w in order[:i]:
+            if a.adj[x] >> w & 1:
+                want |= 1 << image[w]
+        for y in range(n):
+            if not used >> y & 1 and b.adj[y] & used == want \
+                    and b.adj[y].bit_count() == a.adj[x].bit_count():
+                image[x] = y
+                yield from walk(i + 1, used | 1 << y)
+
+    yield from walk(0, 0)
+
+
+def automorphism_count(g: Graph) -> int:
+    return sum(1 for _ in _isomorphisms(g, g))
+
+
+def isomorphic_naive(a: Graph, b: Graph) -> bool:
+    return next(_isomorphisms(a, b), None) is not None
+
+
+def check_regular_classes(classes: list[Graph], n: int, r: int) -> None:
+    """Assert that ``classes`` holds exactly one graph per isomorphism class
+    of connected r-regular graphs on n vertices."""
+    for g in classes:
+        assert g.n == n and all(row.bit_count() == r for row in g.adj), (n, r, g)
+        assert is_connected_naive(g), (n, r, g)
+    for a, b in combinations(classes, 2):
+        assert not isomorphic_naive(a, b), (n, r, a, b)
+    total = sum(Fraction(factorial(n), automorphism_count(g)) for g in classes)
+    assert total == labeled_regular_count(n, r), (n, r, total)

@@ -9,6 +9,7 @@ classification built from the role labeling alone.
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 from toughkit.cli import VERIFY_FAIL, main
 from toughkit.formats import parse_graph6, serialize_graph6
@@ -30,7 +31,6 @@ from toughkit.search import (
     SearchSpec,
     canonical_form,
     enumerate_regular,
-    labeled_regular_class_forms,
     run_census,
 )
 from toughkit.verify import (
@@ -45,7 +45,13 @@ from toughkit.verify import (
     verify_no_k14_at_x,
 )
 
-from oracles import adj_sets, components_naive, cutsets_naive
+from oracles import (
+    adj_sets,
+    check_regular_classes,
+    components_naive,
+    cutsets_naive,
+    isomorphic_naive,
+)
 
 
 def _verdict(idx: int, ok: bool, text: str) -> None:
@@ -170,13 +176,16 @@ CENSUS_FORMS = ["I{dQPcdBg", "I}`HPKYDW", "I}hPOgJ@w"]
 
 
 def test_criterion_5_order_10_census():
-    # enumeration is trusted only after the labeled oracle agrees on counts
+    # enumeration is trusted only after the labeled count agrees with
+    # sum n!/|Aut(G)| over the classes, which are pairwise non-isomorphic
     for n, r in [(5, 4), (6, 4), (7, 4), (8, 4), (4, 3), (6, 3), (8, 3)]:
-        fast = {serialize_graph6(g) for g in enumerate_regular(n, r)}
-        assert fast == labeled_regular_class_forms(n, r), (n, r)
+        classes = enumerate_regular(n, r)
+        assert all(canonical_form(g) == serialize_graph6(g) for g in classes), (n, r)
+        check_regular_classes(classes, n, r)
 
     classes = enumerate_regular(10, 4)
     assert len(classes) == 59
+    assert not any(isomorphic_naive(a, b) for a, b in combinations(classes, 2))
 
     res = run_census(SearchSpec(10, 4, predicates=("connected", "supertough")))
     assert res.examined == 59

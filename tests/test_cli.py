@@ -339,6 +339,18 @@ def test_census_envelope(capsys):
     assert err.startswith("error: envelope:")
 
 
+def test_stream_census_envelope_does_not_depend_on_the_data(capsys, monkeypatch):
+    # J_6 has 17 vertices, past the canonical-form cap; with or without a
+    # survivor the census must refuse before examining the stream
+    jm6 = serialize_graph6(build_jm(6).graph) + "\n"
+    for preds in ((), ("--supertough",)):
+        feed_stdin(monkeypatch, jm6)
+        code, out, err = run_cli(capsys, "census", "--stdin", "--n", "17", "--r", "4",
+                                 *preds, "--workers", "1")
+        assert (code, out) == (ENVELOPE, ""), preds
+        assert err.startswith("error: envelope:")
+
+
 def test_census_exclusive_claw_flags(capsys):
     code, _, err = run_cli(capsys, "census", "--n", "8", "--r", "4",
                            "--claw-free", "--has-claw", "--workers", "1")

@@ -1,4 +1,5 @@
-"""Every name the package and its tests import is used."""
+"""Every name the package and its tests import is used, and the package
+holds no ``assert``: ``python -O`` strips them, so checks must be explicit."""
 
 import ast
 from pathlib import Path
@@ -31,3 +32,13 @@ def test_no_unused_imports():
     paths = sorted([*ROOT.glob("src/toughkit/*.py"), *ROOT.glob("tests/*.py")])
     assert paths
     assert [hit for path in paths for hit in unused_imports(path)] == []
+
+
+def test_no_assert_in_package():
+    paths = sorted(ROOT.glob("src/toughkit/*.py"))
+    assert paths
+    hits = [f"{path.relative_to(ROOT)}:{node.lineno}"
+            for path in paths
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Assert)]
+    assert hits == []

@@ -19,12 +19,10 @@ from toughkit.generators import (
 )
 from toughkit.search import (
     CANONICAL_MAX_VERTICES,
-    LABELED_ORACLE_MAX_VERTICES,
     PREDICATES,
     SearchSpec,
     canonical_form,
     enumerate_regular,
-    labeled_regular_class_forms,
     run_census,
     _feasible,
     _is_max_canonical,
@@ -33,7 +31,7 @@ from toughkit.search import (
 from toughkit.formats import parse_graph6, serialize_graph6
 from toughkit.parallel import worker_pool
 
-from oracles import girth_naive
+from oracles import check_regular_classes, girth_naive
 
 
 # ---------------------------------------------------------------------------
@@ -151,12 +149,15 @@ def test_enumerate_regular_rejections():
 
 
 def test_enumeration_matches_labeled_oracle():
+    # the oracle (orbit-stabilizer count, pairwise non-isomorphism) uses no
+    # canonical form
     for n in range(2, 8):
         for r in range(0, min(n, 5)):
             if n * r % 2:
                 continue
-            fast = {serialize_graph6(g) for g in enumerate_regular(n, r)}
-            assert fast == labeled_regular_class_forms(n, r)
+            classes = enumerate_regular(n, r)
+            assert all(canonical_form(g) == serialize_graph6(g) for g in classes)
+            check_regular_classes(classes, n, r)
 
 
 def test_enumerate_order_11_quartic_with_two_workers():
@@ -226,11 +227,6 @@ def test_enumerate_workers_do_not_change_output(monkeypatch, n, r):
     # the levels of 64 or more parents went through the pool in chunks
     assert len(chunk_counts) >= 3 and min(chunk_counts) > 1
     assert [serialize_graph6(g) for g in multi] == [serialize_graph6(g) for g in solo]
-
-
-def test_labeled_oracle_envelope():
-    with pytest.raises(EnvelopeError):
-        labeled_regular_class_forms(LABELED_ORACLE_MAX_VERTICES + 1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +329,17 @@ def test_worker_pool_caps_workers_at_core_count(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # census: stream source
+
+def test_census_envelope_is_checked_before_the_stream_is_read():
+    def unread():
+        raise AssertionError("stream read past the envelope")
+        yield
+
+    for source, stream in (("stream", unread()), ("builtin", None)):
+        with pytest.raises(EnvelopeError):
+            run_census(SearchSpec(CANONICAL_MAX_VERTICES + 1, 2, source=source),
+                       stream=stream)
+
 
 def test_census_stream_records_errors_and_continues():
     good = serialize_graph6(cycle_power(8, 2))

@@ -143,15 +143,7 @@ def _invariant_toughness(capsys, monkeypatch, g6, *argv):
     return out
 
 
-def test_workers_do_not_change_results(rng, capsys, monkeypatch):
-    for _ in range(8):
-        g = random_connected_graph(rng.randrange(6, 10), rng, p=0.4)
-        oa = toughness_oracle(g, workers=1)
-        ob = toughness_oracle(g, workers=4)
-        if oa is INFINITE:
-            assert ob is INFINITE
-            continue
-        assert (oa.value, oa.witness_cut) == (ob.value, ob.witness_cut)
+def test_workers_do_not_change_results(capsys, monkeypatch):
     # toughness itself runs in one process; the CLI still takes --workers
     # and its output must not depend on it
     by_edges = {len(parse_graph6(g6).edges()): g6 for g6 in sorted(CORPUS)}
