@@ -534,14 +534,17 @@ def is_t_tough(g: Graph, t) -> tuple[bool, VertexSet | None]:
 
 
 # ---------------------------------------------------------------------------
-# vertex connectivity via vertex-split max-flow (Menger)
+# vertex connectivity: Menger paths by augmenting on the implicit split graph
 
 def connectivity(g: Graph) -> ConnectivityCertificate:
     """Exact vertex connectivity with a minimum separator witness.
 
     Complete graphs get kappa = n-1 and a None witness.  Otherwise kappa is
-    the minimum over the standard dominating pair family: a minimum-degree
-    vertex v against its non-neighbors, plus non-adjacent pairs inside N(v).
+    the minimum flow over Even's pair family: the lowest-id minimum-degree
+    vertex v against its non-neighbors in ascending order, then the
+    non-adjacent pairs of N(v) in ``combinations`` order.  The witness
+    belongs to the first pair (s, t) with that flow: it is the minimum s-t
+    separator nearest s, the one whose component holding s is smallest.
     """
     n = g.n
     if len(components(g)) > 1:
@@ -556,79 +559,60 @@ def connectivity(g: Graph) -> ConnectivityCertificate:
     )
     best = None
     for s, t in pairs:
-        flow, residual = _run_flow(g, s, t)
-        if best is None or flow < best[0]:
-            best = (flow, s, residual)
-    kappa, s, residual = best
-    return ConnectivityCertificate(kappa, _min_cut_vertices(g, s, kappa, residual))
+        found = _disjoint_paths(g.adj, s, t)
+        if best is None or found[0] < best[0]:
+            best = found
+    return ConnectivityCertificate(*best)
 
 
-def _build_capacity(g: Graph) -> list[list[int]]:
-    # node 2v is v_in, 2v+1 is v_out; vertex arcs carry 1, edge arcs n (effectively infinite)
-    n = g.n
-    big = n
-    cap = [[0] * (2 * n) for _ in range(2 * n)]
-    for v in range(n):
-        cap[2 * v][2 * v + 1] = 1
-        for u in bits(g.adj[v]):
-            cap[2 * v + 1][2 * u] = big
-    return cap
+def _disjoint_paths(adj: tuple[VertexSet, ...], s: int, t: int) -> tuple[int, VertexSet]:
+    """Most internally disjoint s-t paths, and the minimum separator nearest s.
 
-
-def _augment(cap: list[list[int]], src: int, snk: int) -> bool:
-    size = len(cap)
-    parent = [-1] * size
-    parent[src] = src
-    queue = [src]
-    qi = 0
-    while qi < len(queue):
-        x = queue[qi]
-        qi += 1
-        if x == snk:
-            break
-        row = cap[x]
-        for y in range(size):
-            if row[y] > 0 and parent[y] < 0:
-                parent[y] = x
-                queue.append(y)
-    if parent[snk] < 0:
-        return False
-    y = snk
-    while y != src:
-        x = parent[y]
-        cap[x][y] -= 1
-        cap[y][x] += 1
-        y = x
-    return True
-
-
-def _run_flow(g: Graph, s: int, t: int) -> tuple[int, list[list[int]]]:
-    cap = _build_capacity(g)
-    src, snk = 2 * s + 1, 2 * t
+    Augmenting paths on the vertex-split graph, which is never built: v's
+    entry leads to its exit with room for one path, and an edge from an exit
+    to a neighbor's entry has room for any number.  pred[v] is the vertex a
+    path enters v from, so an inner vertex carries a path exactly when it is
+    in pred.  An exit reaches every neighbor's entry, and its own entry when
+    v carries a path; an entry reaches only v's exit when v carries none,
+    else pred[v]'s exit.  When no path is left, the separator is the set of
+    vertices whose entry is reachable and whose exit is not; that reachable
+    set is the same for every maximum flow (Picard and Queyranne).
+    """
+    pred: dict[int, int] = {}
     flow = 0
-    while _augment(cap, src, snk):
+    while True:
+        entered: dict[int, int] = {}  # entry -> the exit it was reached from
+        left = {s: s}  # exit -> the entry it was reached through
+        seen = 0  # entries reached, as a mask
+        queue = [s]
+        for x in queue:
+            new = adj[x] | (1 << x if x in pred else 0)
+            new &= ~seen
+            seen |= new
+            for u in bits(new):
+                entered[u] = x
+                w = pred.get(u, u)
+                if w not in left:
+                    left[w] = u
+                    queue.append(w)
+            if seen >> t & 1:
+                break
+        else:
+            cut = seen & ~mask_of(left)
+            if cut.bit_count() != flow:
+                raise RuntimeError(f"residual cut has {cut.bit_count()} vertices, max flow is {flow}")
+            return flow, cut
+        # walk the new path back from t; an entry reached from its own exit
+        # gives up its path, any other takes the new path from that exit
+        x = entered[t]
+        while x != s:
+            u = left[x]
+            x = entered[u]
+            if x == u:
+                del pred[u]
+            else:
+                pred[u] = x
         flow += 1
-    return flow, cap
-
-
-def _min_cut_vertices(g: Graph, s: int, flow: int, cap: list[list[int]]) -> VertexSet:
-    """Separator read off the residual network of a maximum flow from s."""
-    size = 2 * g.n
-    reach = [False] * size
-    reach[2 * s + 1] = True
-    queue = [2 * s + 1]
-    qi = 0
-    while qi < len(queue):
-        x = queue[qi]
-        qi += 1
-        for y in range(size):
-            if cap[x][y] > 0 and not reach[y]:
-                reach[y] = True
-                queue.append(y)
-    cut = mask_of(v for v in range(g.n) if reach[2 * v] and not reach[2 * v + 1])
-    if cut.bit_count() != flow:
-        raise RuntimeError(f"residual cut has {cut.bit_count()} vertices, max flow is {flow}")
-    return cut
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,36 @@ def connectivity_naive(g: Graph) -> int:
     return g.n - 1
 
 
+def connectivity_witness_naive(g: Graph) -> tuple[int, int]:
+    """(kappa, witness mask) that ``connectivity`` must give a connected,
+    non-complete graph, by brute force over separators.
+
+    Pairs come in Even's order: the lowest-id minimum-degree vertex v against
+    its non-neighbors ascending, then the non-adjacent pairs of N(v) in
+    ``combinations`` order.  The first pair with the fewest separating
+    vertices wins; its witness is the smallest s-t separator that leaves the
+    fewest vertices in the component of s.
+    """
+    nbrs = adj_sets(g)
+    v = min(range(g.n), key=lambda u: (len(nbrs[u]), u))
+    pairs = [(v, u) for u in range(g.n) if u != v and u not in nbrs[v]]
+    pairs += [(x, y) for x, y in combinations(sorted(nbrs[v]), 2) if y not in nbrs[x]]
+    witness = None
+    for s, t in pairs:
+        rest = [u for u in range(g.n) if u not in (s, t)]
+        found = []  # (size of the component of s, separator) at the least size
+        for size in range(len(rest) + 1):
+            for cut in combinations(rest, size):
+                side = next(c for c in components_naive(g, frozenset(cut)) if s in c)
+                if t not in side:
+                    found.append((len(side), cut))
+            if found:
+                break
+        if witness is None or size < len(witness):
+            witness = min(found)[1]
+    return len(witness), sum(1 << u for u in witness)
+
+
 def independence_naive(g: Graph) -> int:
     nbrs = adj_sets(g)
     best = 0

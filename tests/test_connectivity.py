@@ -5,7 +5,7 @@ from toughkit.generators import complete, cycle, path, petersen, random_connecte
 from toughkit.graphs import components
 from toughkit.invariants import connectivity_json
 
-from oracles import connectivity_naive
+from oracles import connectivity_naive, connectivity_witness_naive
 
 
 @pytest.mark.parametrize("build,kappa", [
@@ -57,7 +57,19 @@ def test_certificate_validates(rng):
     for _ in range(15):
         g = random_connected_graph(rng.randrange(4, 9), rng, p=0.5)
         cert = connectivity(g)
-        cert.validate(g)
+        assert cert.validate(g)
+
+
+def test_witness_matches_naive_oracle(rng):
+    # the separator nearest s for the first pair of Even's family with the
+    # smallest flow, found again by brute force over separators
+    for _ in range(150):
+        n = rng.randrange(4, 11)
+        g = random_connected_graph(n, rng, p=rng.choice([0.2, 0.35, 0.5, 0.7, 0.85]))
+        if g.is_complete():
+            continue
+        cert = connectivity(g)
+        assert (cert.kappa, cert.witness_cut) == connectivity_witness_naive(g), g.edges()
 
 
 def test_witness_vertices_in_range():

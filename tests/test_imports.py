@@ -1,4 +1,5 @@
-"""Every name the package and its tests import is used, and the package
+"""Every name the package and its tests import is used, every private
+module-level name in the package is read somewhere in it, and the package
 holds no ``assert``: ``python -O`` strips them, so checks must be explicit."""
 
 import ast
@@ -42,3 +43,41 @@ def test_no_assert_in_package():
             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
             if isinstance(node, ast.Assert)]
     assert hits == []
+
+
+def private_definitions(tree: ast.Module) -> list[tuple[ast.stmt, str]]:
+    """Module-level ``_name`` functions, classes and constants (no dunders)."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        out += [(node, name) for name in names
+                if name.startswith("_") and not name.startswith("__")]
+    return out
+
+
+def test_no_dead_private_helpers():
+    # a helper read only inside its own definition (say, by recursion) is dead too
+    paths = sorted(ROOT.glob("src/toughkit/*.py"))
+    assert paths
+    readers: dict[str, set] = {}  # name -> (path, line) of each top-level statement reading it
+    defined = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for stmt in tree.body:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    readers.setdefault(node.id, set()).add((path, stmt.lineno))
+                elif isinstance(node, ast.Attribute):
+                    readers.setdefault(node.attr, set()).add((path, stmt.lineno))
+        defined += [(path, stmt.lineno, name) for stmt, name in private_definitions(tree)]
+    assert defined
+    dead = [f"{path.relative_to(ROOT)}:{line} {name}"
+            for path, line, name in defined
+            if not readers.get(name, set()) - {(path, line)}]
+    assert dead == []

@@ -78,7 +78,7 @@ FIXTURE_VALUES = [
 def test_frozen_values_solver(build, value, witness, k):
     cert = toughness(build())
     assert (cert.value, cert.witness_cut, cert.component_count) == (value, witness, k)
-    cert.validate(build())
+    assert cert.validate(build())
 
 
 @pytest.mark.parametrize("build,value,witness,k", FIXTURE_VALUES)
@@ -135,9 +135,9 @@ def test_solver_matches_oracle_on_randoms(rng):
                 (o.value, o.witness_cut, o.component_count)
 
 
-def _invariant_toughness(capsys, monkeypatch, g6, *argv):
+def _invariant(capsys, monkeypatch, which, g6, *argv):
     monkeypatch.setattr(sys, "stdin", io.StringIO(g6 + "\n"))
-    code = main(["invariant", "toughness", "--stdin", *argv])
+    code = main(["invariant", which, "--stdin", *argv])
     out = capsys.readouterr().out
     assert code == 0, g6
     return out
@@ -149,7 +149,7 @@ def test_workers_do_not_change_results(capsys, monkeypatch):
     by_edges = {len(parse_graph6(g6).edges()): g6 for g6 in sorted(CORPUS)}
     densest = [g6 for _, g6 in sorted(by_edges.items())[-5:]]
     for g6 in [serialize_graph6(build_jm(7).graph)] + densest:
-        outs = {_invariant_toughness(capsys, monkeypatch, g6, "--workers", w) for w in "12"}
+        outs = {_invariant(capsys, monkeypatch, "toughness", g6, "--workers", w) for w in "12"}
         assert len(outs) == 1, g6
 
 
@@ -366,6 +366,8 @@ def test_is_t_tough_jm8_no_path_is_pinned():
 
 
 def test_corpus_certificates_are_pinned(capsys, monkeypatch):
+    # digests follow the benchmark's order: toughness, connectivity, ...
     for g6, digests in sorted(CORPUS.items()):
-        out = _invariant_toughness(capsys, monkeypatch, g6)
-        assert hashlib.sha256(out.encode()).hexdigest()[:16] == digests[0], g6
+        for which, want in zip(("toughness", "connectivity"), digests):
+            out = _invariant(capsys, monkeypatch, which, g6)
+            assert hashlib.sha256(out.encode()).hexdigest()[:16] == want, (which, g6)
