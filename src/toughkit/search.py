@@ -9,9 +9,14 @@ Enumeration is orderly: grow one vertex at a time, keep an extension only
 when the grown labeled graph is already its own canonical labeling.  The
 max-string canonical form is prefix-closed (a permutation improving a
 prefix would extend to one improving the whole string), so every class is
-produced exactly once and no isomorph store is needed.  Before that full
-check, an O(1) exact test drops extensions that swapping the last two
-vertices would already beat.
+produced exactly once and no isomorph store is needed.  An extension first
+meets an O(1) exact test that drops it when swapping the last two vertices
+would already beat it.  The canonicity check then starts from the parent's:
+every partial labeling that ties the parent's identity columns (a tied
+prefix) is kept in a trie, and a labeling of the child can only beat the
+child if it places the new vertex right after one of them.  So the check
+scans the parent's tied prefixes and backtracks only below the ones where
+the new vertex ties too (McKay 1998; Meringer 1999).
 """
 
 from __future__ import annotations
@@ -196,45 +201,162 @@ def _swap_beats(rows: list[int], newrow: int) -> bool:
     return bool(newrow & x & -x)
 
 
-def _grow(task) -> list[list[int]]:
-    """The canonical one-vertex extensions of each parent, in parent order."""
-    level, n, r = task
-    out = []
-    for rows in level:
-        k = len(rows)
-        open_verts = [v for v in range(k) if rows[v].bit_count() < r]
-        for size in range(min(r, len(open_verts)) + 1):
-            for combo in combinations(open_verts, size):
-                newrow = 0
-                for v in combo:
-                    newrow |= 1 << v
-                if _swap_beats(rows, newrow) or not _feasible(rows, newrow, n, r):
-                    continue
-                grown = rows.copy()
-                for v in combo:
-                    grown[v] |= 1 << k
-                grown.append(newrow)
-                if _is_max_canonical(k + 1, grown):
-                    out.append(grown)
+# A tied prefix of a labeling is a partial labeling (position -> vertex)
+# whose columns equal the identity's, the nodes the canonicity check walks.
+# They are kept as a parent-pointer trie with one pair of lists per depth:
+# node i of depth d places vertex ``verts[d][i]`` at position d-1 under
+# node ``pars[d][i]`` of depth d-1.  Depth 0 holds only the root, the empty
+# prefix.  ``want[d]`` is the identity's column at position d, and
+# ``want[0] = 0`` stands for the empty column at position 0.
+
+
+def _tie_dfs(adj, want, verts, pars, placed: list[int], mask: int, node: int) -> bool:
+    """Walk the labelings that extend ``placed`` while they tie the identity;
+    False as soon as one beats it.  Unless ``verts`` is None, every tied
+    extension is added to the trie under ``node``, the trie node of
+    ``placed``."""
+    n = len(adj)
+    depth = len(placed)
+    if depth == n:
+        return True  # an automorphism, not a beater
+    w = want[depth]
+    for v in range(n):
+        if mask >> v & 1:
+            continue
+        row = adj[v]
+        col = 0
+        for p in placed:
+            col = col << 1 | row >> p & 1
+        if col > w:
+            return False  # found a strictly larger labeling
+        if col == w:
+            child = -1
+            if verts is not None:
+                child = len(verts[depth + 1])
+                verts[depth + 1].append(v)
+                pars[depth + 1].append(node)
+            placed.append(v)
+            ok = _tie_dfs(adj, want, verts, pars, placed, mask | 1 << v, child)
+            placed.pop()
+            if not ok:
+                return False
+    return True
+
+
+def _tied_prefixes(rows: list[int], order: int):
+    """``(verts, pars, want)`` of a canonical labeling, walked from scratch,
+    with empty depths up to ``order`` for its descendants' prefixes."""
+    want = [0, *_identity_cols(len(rows), rows)]
+    verts: list[list[int]] = [[] for _ in range(order + 1)]
+    pars: list[list[int]] = [[] for _ in range(order + 1)]
+    if not _tie_dfs(rows, want, verts, pars, [], 0, 0):
+        raise ValueError("the labeling is not canonical")
+    return verts, pars, want
+
+
+def _child_is_canonical(grown: list[int], want, verts, pars, record: bool) -> bool:
+    """Is ``grown``, a canonical parent P plus vertex k, canonical too?
+
+    The trie holds P's tied prefixes, and ``want`` the child's identity
+    columns.  Cut any labeling of the child where it places k, at position
+    d.  If its first d vertices do not tie P's identity they fall below it,
+    since P is canonical, and so does the labeling.  Otherwise they are a
+    tied prefix p of P.  Then k's column over p beats ``want[d]`` (reject),
+    falls below it, or ties it, and the ordinary walk goes on from
+    p + (k,).  So P's prefixes are scanned first, and only the ties are
+    walked.  With ``record`` the child's own new tied prefixes, those that
+    hold k, are added to the trie.
+    """
+    k = len(grown) - 1
+    newrow = grown[k]
+    prev = [0]
+    ties = [(0, 0)]  # k at position 0 always ties
+    for d in range(1, k + 1):
+        w = want[d]
+        cols = [prev[p] << 1 | newrow >> v & 1 for p, v in zip(pars[d], verts[d])]
+        if max(cols) > w:
+            return False
+        if w in cols:
+            ties += [(d, i) for i, col in enumerate(cols) if col == w]
+        prev = cols
+    for d, i in ties:
+        placed = []
+        mask = 1 << k
+        node = i
+        for e in range(d, 0, -1):
+            v = verts[e][node]
+            placed.append(v)
+            mask |= 1 << v
+            node = pars[e][node]
+        placed.reverse()
+        placed.append(k)
+        node = -1
+        if record:
+            node = len(verts[d + 1])
+            verts[d + 1].append(k)
+            pars[d + 1].append(i)
+        if not _tie_dfs(grown, want, verts if record else None, pars, placed, mask, node):
+            return False
+    return True
+
+
+def _descend(rows: list[int], trie, order: int, n: int, r: int, out: list) -> None:
+    """Grow the canonical labeling ``rows`` depth-first to ``order`` vertices
+    and append those leaves to ``out``.  ``trie`` is ``(verts, pars, want)``
+    of ``rows``; it is left as it was found."""
+    verts, pars, want = trie
+    k = len(rows)
+    if k == order:
+        out.append(rows)
+        return
+    record = k + 1 < order  # a leaf's tied prefixes are never read
+    sizes = [len(level) for level in verts]
+    open_verts = [v for v in range(k) if rows[v].bit_count() < r]
+    for size in range(min(r, len(open_verts)) + 1):
+        for combo in combinations(open_verts, size):
+            newrow = 0
+            for v in combo:
+                newrow |= 1 << v
+            if _swap_beats(rows, newrow) or not _feasible(rows, newrow, n, r):
+                continue
+            grown = rows.copy()
+            for v in combo:
+                grown[v] |= 1 << k
+            grown.append(newrow)
+            col = 0
+            for v in range(k):
+                col = col << 1 | newrow >> v & 1
+            want.append(col)
+            if _child_is_canonical(grown, want, verts, pars, record):
+                _descend(grown, trie, order, n, r, out)
+            want.pop()
+            if record:
+                for vs, ps, size_d in zip(verts, pars, sizes):
+                    del vs[size_d:], ps[size_d:]
+
+
+def _subtrees(task) -> list[list[int]]:
+    """The descendants of order ``order`` of each canonical parent."""
+    parents, order, n, r = task
+    out: list[list[int]] = []
+    for rows in parents:
+        _descend(rows, _tied_prefixes(rows, order), order, n, r, out)
     return out
 
 
-# a level this large is split into _CHUNKS_PER_WORKER contiguous chunks per
-# worker; smaller levels are not worth the pickling
+# the search runs breadth-first until a level has this many parents, then
+# hands the pool _GROUPS_PER_WORKER strided groups of that level per worker
 _POOL_MIN_LEVEL = 64
-_CHUNKS_PER_WORKER = 8
+_GROUPS_PER_WORKER = 8
 
 
 def _enumerate(n: int, r: int, pmap, workers: int) -> list[Graph]:
     level: list[list[int]] = [[0]]
-    for _ in range(1, n):
-        if workers > 1 and len(level) >= _POOL_MIN_LEVEL:
-            step = -(-len(level) // (_CHUNKS_PER_WORKER * workers))
-            chunks = [(level[i:i + step], n, r) for i in range(0, len(level), step)]
-            level = [rows for part in pmap(_grow, chunks) for rows in part]
-        else:
-            level = _grow((level, n, r))
-    out = [Graph(n, tuple(rows)) for rows in level]
+    while level and len(level) < _POOL_MIN_LEVEL and len(level[0]) < n:
+        level = _subtrees((level, len(level[0]) + 1, n, r))
+    step = _GROUPS_PER_WORKER * workers
+    tasks = [(level[i::step], n, n, r) for i in range(step)]
+    out = [Graph(n, tuple(rows)) for part in pmap(_subtrees, tasks) for rows in part]
     out = [g for g in out if is_connected(g)]
     return sorted(out, key=serialize_graph6)
 
@@ -252,10 +374,12 @@ def enumerate_regular(n: int, r: int, workers: int = 1) -> list[Graph]:
     """All connected r-regular graphs on n vertices, one per isomorphism class.
 
     Orderly vertex-extension search; output sorted by canonical graph6 (the
-    emitted labelings are already canonical).  Each vertex level with at
-    least 64 parents is split into contiguous chunks grown on
-    ``workers`` processes and rejoined in chunk order, so the output does
-    not depend on the worker count.  Envelope: n <= 12, r <= 4.
+    emitted labelings are already canonical).  The search runs
+    breadth-first until a level has at least 64 parents, deals that level
+    into 8 strided groups per worker and grows each group depth-first to
+    order n on ``workers`` processes.  The leaves do not depend on how the
+    level was dealt, so neither does the output.  Envelope: n <= 12,
+    r <= 4.
     """
     _check_regular_params(n, r)
     with worker_pool(workers) as pmap:

@@ -1,9 +1,12 @@
 """Canonical forms, isomorph-free enumeration, and the census pipeline."""
 
+import hashlib
+import json
 import os
 import random
 from contextlib import contextmanager
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -24,14 +27,20 @@ from toughkit.search import (
     canonical_form,
     enumerate_regular,
     run_census,
+    _child_is_canonical,
     _feasible,
     _is_max_canonical,
     _swap_beats,
+    _tied_prefixes,
 )
+from toughkit.cli import main
 from toughkit.formats import parse_graph6, serialize_graph6
 from toughkit.parallel import worker_pool
 
 from oracles import check_regular_classes, girth_naive
+
+# outputs pinned by the benchmark (read here, written only by perfbench/pin.py)
+PINS = json.loads((Path(__file__).parents[1] / "perfbench" / "expected.json").read_text())
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +173,21 @@ def test_enumerate_order_11_quartic_with_two_workers():
     assert len(enumerate_regular(11, 4, workers=2)) == 265  # OEIS A006820
 
 
+def _digest(text):
+    # the rule of perfbench/check.py's digest
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def test_enumeration_and_census_match_benchmark_pins(capsys):
+    for n, r in ((10, 4), (11, 4), (12, 3)):
+        lines = [serialize_graph6(g) for g in enumerate_regular(n, r, workers=2)]
+        assert _digest("\n".join(lines)) == PINS["fixed"][f"classes_n{n}r{r}"], (n, r)
+    code = main(["census", "--n", "11", "--r", "4", "--connected", "--supertough"])
+    out = capsys.readouterr().out
+    assert code == PINS["census"]["exit"]
+    assert _digest(out) == PINS["census"]["stdout"]
+
+
 def _feasible_naive(grown, n, r):
     s = n - len(grown)
     need = [r - row.bit_count() for row in grown]
@@ -210,23 +234,99 @@ def test_swap_prefilter_never_rejects_a_canonical_extension():
 
 @pytest.mark.parametrize("n,r", [(10, 4), (10, 3)])
 def test_enumerate_workers_do_not_change_output(monkeypatch, n, r):
-    chunk_counts = []
+    task_counts = []
 
     @contextmanager
     def counting_pool(workers):
         with worker_pool(workers) as pmap:
             def spy(fn, tasks):
-                chunk_counts.append(len(tasks))
+                task_counts.append(len(tasks))
                 return pmap(fn, tasks)
             yield spy
 
     monkeypatch.setattr(search, "worker_pool", counting_pool)
     solo = enumerate_regular(n, r, workers=1)
-    assert chunk_counts == []
     multi = enumerate_regular(n, r, workers=2)
-    # the levels of 64 or more parents went through the pool in chunks
-    assert len(chunk_counts) >= 3 and min(chunk_counts) > 1
+    # every worker count takes the same path: one level split into 8 strided
+    # groups per worker, each grown to order n by one map task
+    assert task_counts == [8, 16]
     assert [serialize_graph6(g) for g in multi] == [serialize_graph6(g) for g in solo]
+
+
+def _tied_set(verts, pars) -> set:
+    """Every tied prefix in a trie, as a tuple of vertices."""
+    out = {()}
+    for d in range(1, len(verts)):
+        for i, v in enumerate(verts[d]):
+            prefix = [v]
+            node = pars[d][i]
+            for e in range(d - 1, 0, -1):
+                prefix.append(verts[e][node])
+                node = pars[e][node]
+            out.add(tuple(reversed(prefix)))
+    return out
+
+
+def _naive_tied_set(rows) -> set:
+    """Every partial labeling whose columns equal the identity's, found by
+    trying every vertex at every position."""
+    n = len(rows)
+
+    def col(v, placed):
+        return [rows[v] >> p & 1 for p in placed]
+
+    out = set()
+    frontier = [()]
+    while frontier:
+        out.update(frontier)
+        frontier = [p + (v,) for p in frontier for v in range(n)
+                    if v not in p and col(v, p) == col(len(p), range(len(p)))]
+    return out
+
+
+@pytest.mark.parametrize("n,r", [(n, r) for n in range(4, 10) for r in (3, 4)
+                                 if r < n and n * r % 2 == 0] + [(10, 3)])
+def test_parent_check_matches_full_check(n, r):
+    # walk the orderly search without the prefilter; every feasible candidate
+    # gets the parent-based check and the full one, and every accepted graph's
+    # carried tied prefixes are compared with a fresh walk
+    accepted = rejected = 0
+    level = [([0], _tied_prefixes([0], n))]
+    for k in range(1, n):
+        nxt = []
+        for rows, (verts, pars, want) in level:
+            open_verts = [v for v in range(k) if rows[v].bit_count() < r]
+            for size in range(min(r, len(open_verts)) + 1):
+                for combo in combinations(open_verts, size):
+                    newrow = mask_of(combo)
+                    if not _feasible(rows, newrow, n, r):
+                        continue
+                    grown = [row | (newrow >> v & 1) << k
+                             for v, row in enumerate(rows)] + [newrow]
+                    child_want = want + [int("".join(str(newrow >> v & 1)
+                                                     for v in range(k)), 2)]
+                    canonical = _is_max_canonical(k + 1, grown)
+                    assert _child_is_canonical(grown, child_want, verts, pars,
+                                               False) == canonical, grown
+                    child_verts = [vs.copy() for vs in verts]
+                    child_pars = [ps.copy() for ps in pars]
+                    assert _child_is_canonical(grown, child_want, child_verts,
+                                               child_pars, True) == canonical, grown
+                    if not canonical:
+                        rejected += 1
+                        continue
+                    accepted += 1
+                    carried = _tied_set(child_verts, child_pars)
+                    fresh_verts, fresh_pars, fresh_want = _tied_prefixes(grown, n)
+                    assert fresh_want == child_want
+                    assert carried == _tied_set(fresh_verts, fresh_pars), grown
+                    if k < 7:
+                        assert carried == _naive_tied_set(grown), grown
+                    nxt.append((grown, (child_verts, child_pars, child_want)))
+        level = nxt
+    assert len([g for g, _ in level if is_connected(Graph(n, tuple(g)))]) == len(
+        enumerate_regular(n, r))
+    assert accepted > 0 and (rejected > 0 or n == r + 1)  # K_n rejects no candidate
 
 
 # ---------------------------------------------------------------------------

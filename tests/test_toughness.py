@@ -366,8 +366,9 @@ def test_is_t_tough_jm8_no_path_is_pinned():
 
 
 def test_corpus_certificates_are_pinned(capsys, monkeypatch):
-    # digests follow the benchmark's order: toughness, connectivity, ...
+    # digests follow the benchmark's order of the four invariant commands
     for g6, digests in sorted(CORPUS.items()):
-        for which, want in zip(("toughness", "connectivity"), digests):
+        for which, want in zip(("toughness", "connectivity", "independence", "claws"),
+                               digests, strict=True):
             out = _invariant(capsys, monkeypatch, which, g6)
             assert hashlib.sha256(out.encode()).hexdigest()[:16] == want, (which, g6)
