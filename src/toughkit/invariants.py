@@ -691,12 +691,67 @@ def cutsets_of_size(g: Graph, s: int) -> list[VertexSet]:
     """All size-s vertex sets whose removal leaves >= 2 components.
 
     Masks come back in ascending order.  Empty when s > n - 2 (fewer
-    than two vertices would remain)."""
+    than two vertices would remain).
+
+    The sets are built from components; no component is ever counted.  A
+    size-s cut-set S has a smallest component C in G - S: C is connected,
+    has at most floor((n - s) / 2) vertices, and its neighbourhood N(C) lies
+    in S.  So S is N(C) plus s - |N(C)| vertices from outside C and N(C).
+    Conversely every such set is a cut-set: C is a whole component of
+    G - S, and at least one vertex is left outside C and S.  Each connected
+    C is grown once from its least vertex u, branching on its lowest
+    undecided neighbour, which either joins C (while C is under the size
+    cap) or the boundary X (while X has at most s vertices); neighbours
+    below u can only go to X.  A branch stops once X would pass s even if
+    C took as many undecided neighbours as its cap allows.  A C whose
+    neighbours are all decided has N(C) = X, and yields X with every
+    completion.  A cut-set with several small components comes out once
+    per such component, so the sets are deduplicated.
+    """
     if s < 1:
         raise ValueError(f"cut-set size must be positive, got {s}")
-    if s > g.n - 2:
+    n, adj = g.n, g.adj
+    if s > n - 2:
         return []
-    return [x for x, _ in _cuts(_union_tables(g.adj, g.n), g.n, s)]
+    full = (1 << n) - 1
+    cap = (n - s) // 2
+    found: set[int] = set()
+
+    def close(comp: int, bound: int) -> None:
+        need = s - bound.bit_count()
+        if not need:
+            found.add(bound)
+            return
+        rest = [1 << v for v in bits(full & ~(comp | bound))]
+        found.update(sum(w, bound) for w in combinations(rest, need))
+
+    def grow(comp: int, size: int, bound: int, front: int, below: int) -> None:
+        # front: the neighbours of comp in neither comp nor bound, all above u
+        if not front:
+            close(comp, bound)
+            return
+        if size == cap:
+            bound |= front
+            if bound.bit_count() <= s:
+                close(comp, bound)
+            return
+        if bound.bit_count() + front.bit_count() - (cap - size) > s:
+            return
+        v = front & -front
+        front ^= v
+        new = adj[v.bit_length() - 1] & ~(comp | bound | front)
+        joined = bound | new & below
+        if joined.bit_count() <= s:
+            grow(comp | v, size + 1, joined, front | new & ~below, below)
+        if bound.bit_count() < s:
+            grow(comp, size, bound | v, front, below)
+
+    for u in range(n):
+        below = (1 << u) - 1
+        bound = adj[u] & below
+        if bound.bit_count() <= s:
+            grow(1 << u, 1, bound, adj[u] & ~below, below)
+    return sorted(found)
 
 
 # ---------------------------------------------------------------------------

@@ -122,9 +122,10 @@ def verify_lemma_b(m: int) -> ClaimReport:
     This is machine-refuted for every m >= 5: cut-sets made of one aligned
     pair plus one endpoint of each bridge (for example a_1, a_2, b_2, b_m)
     disconnect the graph while fitting neither shape.  There are 2(m-2)
-    of them.  The FAIL payload lists the first ten in ascending mask order
-    (all of them for m <= 7, 10 of 12 at m = 8, 10 of 14 at m = 9);
-    by_kind["outside_claim"] always gives the full count.
+    of them, checked at every m up to 21, the graph6 limit.  The FAIL
+    payload lists the first ten in ascending mask order (all of them for
+    m <= 7, 10 of 12 at m = 8, 10 of 14 at m = 9); by_kind["outside_claim"]
+    always gives the full count.
     """
     if m < 5:
         raise ValueError(f"four-cut classification needs m >= 5, got {m}")

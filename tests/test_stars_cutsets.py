@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from toughkit import (
@@ -11,9 +14,12 @@ from toughkit import (
     mask_of,
 )
 from toughkit.generators import complete, cycle, line_graph, petersen, star
-from toughkit.invariants import stars_json
+from toughkit.invariants import _cuts, _union_tables, stars_json
 
 from oracles import cutsets_naive, induced_stars_naive
+
+# outputs pinned by the benchmark (read here, written only by perfbench/pin.py)
+PINS = json.loads((Path(__file__).parents[1] / "perfbench" / "expected.json").read_text())
 
 
 def test_star_graph_claws():
@@ -101,19 +107,44 @@ def test_cutsets_of_size_small_cases():
         cutsets_of_size(cycle(5), 0)
 
 
+def _random_graph(rng, n, p):
+    return from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                          if rng.random() < p])
+
+
+def _disjoint_union(g, h):
+    return from_edges(g.n + h.n, g.edges() + [(g.n + u, g.n + v) for u, v in h.edges()])
+
+
 def test_cutsets_match_naive(rng):
-    for _ in range(25):
-        n = rng.randrange(3, 9)
-        g = from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
-                           if rng.random() < 0.5])
-        for s in range(1, n - 1):
-            got = {frozenset(bits(x)) for x in cutsets_of_size(g, s)}
-            assert got == cutsets_naive(g, s)
+    graphs = [from_edges(12, []), from_edges(1, []), from_edges(2, [])]
+    for p in (0.1, 0.3, 0.5, 0.8):
+        graphs += [_random_graph(rng, rng.randint(1, 12), p) for _ in range(4)]
+        graphs.append(_disjoint_union(_random_graph(rng, rng.randint(2, 6), p),
+                                      _random_graph(rng, rng.randint(2, 6), p)))
+    for g in graphs:
+        for s in range(1, g.n + 1):
+            want = sorted(mask_of(c) for c in cutsets_naive(g, s))
+            assert cutsets_of_size(g, s) == want, (g.n, g.adj, s)
+
+
+@pytest.mark.parametrize("m", range(5, 13))
+def test_jm_cutsets_match_plain_walk(m):
+    g = build_jm(m).graph
+    tables = _union_tables(g.adj, g.n)
+    for s in (4, 5, 6):
+        assert cutsets_of_size(g, s) == [x for x, _ in _cuts(tables, g.n, s)], s
 
 
 def test_cutsets_are_ascending_masks():
     masks = cutsets_of_size(build_jm(4).graph, 4)
     assert masks == sorted(masks)
+
+
+def test_cutset_counts_match_benchmark_pins():
+    cases = [(m, s) for m in (7, 8, 9) for s in (5, 6)]
+    counts = [len(cutsets_of_size(build_jm(m).graph, s)) for m, s in cases]
+    assert counts == PINS["fixed"]["cutset_counts"]
 
 
 def test_stars_json_shape():

@@ -4,6 +4,7 @@ four-cut classification, ledger orchestration and the pinned ledger."""
 import hashlib
 import json
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -96,6 +97,22 @@ def test_lemma_b_fails_with_exact_tallies(m, total, by_kind):
     assert sum(by_kind.values()) == total
     found = {frozenset(c) for c in rep.details["counterexamples"]}
     assert found == bridge_skew_family(m)
+
+
+def test_lemma_b_tallies_up_to_the_graph6_limit(capsys):
+    # J_21 has 62 vertices, the most a short graph6 header can carry
+    code = main(["verify", "--claim", "LEMMA_B", "--m", "5..21", "--workers", "1"])
+    reports = json.loads(capsys.readouterr().out)
+    assert code == VERIFY_FAIL
+    assert [r["parameter"] for r in reports] == list(range(5, 22))
+    for r in reports:
+        m = r["parameter"]
+        assert r["verdict"] == "FAIL"
+        assert r["details"]["by_kind"] == {
+            "isolates_cycle_vertex": 2 * m,
+            "aligned_pair": comb(m, 2) - 1,
+            "outside_claim": 2 * (m - 2),
+        }
 
 
 def test_lemma_b_counterexamples_revalidate():
