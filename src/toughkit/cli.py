@@ -45,10 +45,6 @@ ENVELOPE = 4
 VERIFY_FAIL = 5
 
 
-class UsageError(Exception):
-    pass
-
-
 def _err(msg: str) -> None:
     print(f"error: {msg}", file=sys.stderr)
 
@@ -88,9 +84,9 @@ def _read_text(args) -> str:
         return sys.stdin.read()
     path = getattr(args, "input", None)
     if path is None:
-        raise UsageError("need --input PATH or --stdin")
+        raise ValueError("need --input PATH or --stdin")
     if not os.path.isfile(path):
-        raise UsageError(f"no such file: {path}")
+        raise ValueError(f"no such file: {path}")
     with open(path, encoding="ascii") as fh:
         try:
             return fh.read()
@@ -139,27 +135,27 @@ def cmd_gen(args) -> int:
     names = None
     if args.family == "jm":
         if args.m is None:
-            raise UsageError("gen jm needs --m")
+            raise ValueError("gen jm needs --m")
         lg = build_jm(args.m)
         g = lg.graph
         if args.labels:
             names = lg.labeling.names()
     elif args.family == "cycle_power":
         if args.n is None or args.k is None:
-            raise UsageError("gen cycle_power needs --n and --k")
+            raise ValueError("gen cycle_power needs --n and --k")
         g = cycle_power(args.n, args.k)
     elif args.family == "star":
         if args.k is None:
-            raise UsageError("gen star needs --k (leaf count)")
+            raise ValueError("gen star needs --k (leaf count)")
         g = FIXTURE_BUILDERS["star"](args.k)
     elif args.family == "petersen":
         g = FIXTURE_BUILDERS["petersen"]()
     else:
         if args.n is None:
-            raise UsageError(f"gen {args.family} needs --n")
+            raise ValueError(f"gen {args.family} needs --n")
         g = FIXTURE_BUILDERS[args.family](args.n)
     if args.labels and args.family != "jm":
-        raise UsageError("--labels only applies to the jm family")
+        raise ValueError("--labels only applies to the jm family")
     _emit_graph(g, args.format, names)
     return OK
 
@@ -224,12 +220,12 @@ def cmd_verify(args) -> int:
                 if args.odd_only and m % 2 == 0:
                     continue
                 if not hypothesis(m):
-                    raise UsageError(
+                    raise ValueError(
                         f"claim {claim} does not apply at m={m} "
                         "(check the hypothesis; --odd-only skips even m)")
     reports = run_ledger(ms, claims, odd_only=args.odd_only, workers=args.workers)
     if not reports:
-        raise UsageError("selection matches no checks")
+        raise ValueError("selection matches no checks")
     if args.format == "table":
         width = max(len(r.claim) for r in reports)
         for r in reports:
@@ -299,11 +295,11 @@ def cmd_census(args) -> int:
 
 def cmd_corpus(args) -> int:
     if args.min_n < 2 or args.max_n < args.min_n:
-        raise UsageError("need 2 <= min-n <= max-n")
+        raise ValueError("need 2 <= min-n <= max-n")
     if args.count < 0:
-        raise UsageError(f"need count >= 0, got {args.count}")
+        raise ValueError(f"need count >= 0, got {args.count}")
     if not 0 < args.p <= 1:
-        raise UsageError(f"need 0 < p <= 1, got {args.p}")
+        raise ValueError(f"need 0 < p <= 1, got {args.p}")
     rng = random.Random(args.seed)
     out = []
     for _ in range(args.count):
@@ -424,9 +420,6 @@ def main(argv=None) -> int:
     except EnvelopeError as exc:
         _err(f"envelope: {exc}")
         return ENVELOPE
-    except UsageError as exc:
-        _err(str(exc))
-        return USAGE
     except ValueError as exc:
         _err(str(exc))
         return USAGE

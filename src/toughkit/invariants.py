@@ -2,17 +2,18 @@
 induced stars, cut-set utilities.
 
 Toughness of a connected non-complete graph is min |S| / c(G - S) over all
-cut-sets S, computed here with exact rationals throughout.  The optimized
-solver finds the value either by a frontier DP with Dinkelbach iteration or
-by a subset sweep pruned by connectivity, independence number and a running
-best, whichever its work estimate says is cheaper for the input.  At each
-size the sweep tries every subset, or only the sets that a forcing lemma
-allows around an independent set of component representatives, whichever
-is fewer.  Either path ranks cut-sets by ratio and then by bitmask, so the pass that proves
-the value also holds the witness.  The oracle walks every subset with none
-of that and exists only to gate the solver.  Both report the same witness:
-the minimizing cut-set with the smallest bitmask value (ties beyond that
-cannot occur).
+cut-sets S, computed here with exact rationals throughout.  A complete graph
+has no cut-set, and its toughness is INFINITE, which is ``math.inf``.  The
+optimized solver finds the value either by a frontier DP with Dinkelbach
+iteration or by a subset sweep pruned by connectivity, independence number
+and a running best, whichever its work estimate says is cheaper for the
+input.  At each size the sweep tries every subset, or only the sets that a
+forcing lemma allows around an independent set of component
+representatives, whichever is fewer.  Either path ranks cut-sets by ratio
+and then by bitmask, so the pass that proves the value also holds the
+witness.  The oracle walks every subset with none of that and exists only
+to gate the solver.  Both report the same witness: the minimizing cut-set
+with the smallest bitmask value (ties beyond that cannot occur).
 """
 
 from __future__ import annotations
@@ -20,41 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, inf
 
 from .graphs import EnvelopeError, Graph, VertexSet, bits, components, mask_of
 
 ORACLE_MAX_VERTICES = 22
 
 
-class _InfiniteToughness:
-    """Toughness marker for complete graphs; compares above every number."""
-
-    __slots__ = ()
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return other is self
-
-    def __gt__(self, other):
-        return other is not self
-
-    def __ge__(self, other):
-        return True
-
-    def __eq__(self, other):
-        return other is self
-
-    def __hash__(self):
-        return hash("INFINITE")
-
-    def __repr__(self):
-        return "INFINITE"
-
-
-INFINITE = _InfiniteToughness()
+INFINITE = inf
 
 
 @dataclass(frozen=True)
@@ -133,36 +107,19 @@ def _count_components(alive: int, tables: list[list[int]]) -> int:
     return cnt
 
 
-def _subsets_of_size(n: int, s: int):
-    """All s-subsets of an n-bit universe as masks, ascending (Gosper)."""
-    if s == 0:
-        yield 0
-        return
-    x = (1 << s) - 1
-    limit = 1 << n
-    while x < limit:
-        yield x
-        c = x & -x
-        r = x + c
-        x = ((r ^ x) >> (c.bit_length() + 1)) | r
-
-
 def _cuts(tables: list[list[int]], n: int, s: int, reps=None):
     """(S, k) for size-s cut-sets S leaving k >= 2 components.
 
-    Plain, every size-s set is tried, in ascending mask order.  With
-    ``reps`` (from ``_representatives``) only the supersets of each F(I)
-    that avoid I are tried, in no set order and possibly more than once;
-    by the forcing lemma that still covers every size-s cut-set leaving at
-    least |I| components.
+    Each (F, |F|, free) entry of ``reps`` tries F plus every
+    (s - |F|)-subset of ``free``.  Plain, the one entry (0, 0, every
+    vertex) tries every size-s set once.  With ``reps`` from
+    ``_representatives`` the sets come in no set order and possibly more
+    than once; by the forcing lemma they still cover every size-s cut-set
+    leaving at least |I| components.
     """
     full = (1 << n) - 1
     if reps is None:
-        for x in _subsets_of_size(n, s):
-            k = _count_components(full & ~x, tables)
-            if k >= 2:
-                yield x, k
-        return
+        reps = [(0, 0, tuple(1 << v for v in range(n)))]
     for forced, nf, free in reps:
         if nf <= s:
             for combo in combinations(free, s - nf):

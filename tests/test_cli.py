@@ -83,6 +83,27 @@ def test_gen_usage_errors(capsys, argv):
     assert code == USAGE
 
 
+@pytest.mark.parametrize("argv, line", [
+    (("invariant", "toughness"), "need --input PATH or --stdin"),
+    (("invariant", "toughness", "--input", "/nonexistent/g.g6"),
+     "no such file: /nonexistent/g.g6"),
+    (("gen", "jm"), "gen jm needs --m"),
+    (("gen", "cycle_power", "--n", "7"), "gen cycle_power needs --n and --k"),
+    (("gen", "star"), "gen star needs --k (leaf count)"),
+    (("gen", "cycle"), "gen cycle needs --n"),
+    (("gen", "cycle", "--n", "6", "--labels"), "--labels only applies to the jm family"),
+    (("verify", "--claim", "THEOREM", "--m", "3..4", "--workers", "1"),
+     "claim THEOREM does not apply at m=4 (check the hypothesis; --odd-only skips even m)"),
+    (("verify", "--claim", "LEMMA_A", "--m", "4", "--odd-only", "--workers", "1"),
+     "selection matches no checks"),
+    (("corpus", "--seed", "1", "--min-n", "1"), "need 2 <= min-n <= max-n"),
+    (("corpus", "--seed", "1", "--count", "-3"), "need count >= 0, got -3"),
+    (("corpus", "--seed", "1", "--p", "0"), "need 0 < p <= 1, got 0.0"),
+])
+def test_usage_errors_print_one_error_line(capsys, argv, line):
+    assert run_cli(capsys, *argv) == (USAGE, "", f"error: {line}\n")
+
+
 def test_help_exits_clean(capsys):
     assert run_cli(capsys, "--help")[0] == OK
 
@@ -423,6 +444,13 @@ def test_corpus_rejects_bad_p_and_count(capsys, flags):
     code, out, err = run_cli(capsys, "corpus", "--seed", "1", "--count", "2", *flags)
     assert code == USAGE and out == ""
     assert "p <= 1" in err or "count >= 0" in err
+
+
+def test_corpus_without_a_connected_sample_is_an_envelope_error(capsys):
+    code, out, err = run_cli(capsys, "corpus", "--seed", "1", "--count", "1",
+                             "--min-n", "30", "--max-n", "30", "--p", "0.01")
+    assert (code, out) == (ENVELOPE, "")
+    assert err == "error: envelope: no connected G(30, 0.01) sample in 10000 attempts\n"
 
 
 def test_corpus_count_zero_is_empty(capsys):

@@ -14,7 +14,7 @@ from toughkit.generators import (
     random_connected_graph,
     star,
 )
-from toughkit.graphs import is_connected
+from toughkit.graphs import EnvelopeError, is_connected
 
 from oracles import girth_naive, independence_naive, is_connected_naive
 
@@ -125,6 +125,12 @@ def test_random_connected_graph_rejects_bad_p(p):
     # p <= 0 used to loop forever: no sample is ever connected
     with pytest.raises(ValueError, match="0 < p <= 1"):
         random_connected_graph(5, random.Random(1), p=p)
+
+
+def test_random_connected_graph_gives_up_at_tiny_p():
+    # G(30, 0.01) has about 4 edges and needs 29; this used to run forever
+    with pytest.raises(EnvelopeError, match=r"G\(30, 0.01\) sample in 10000 attempts"):
+        random_connected_graph(30, random.Random(1), p=0.01)
 
 
 def test_random_connected_graph_accepts_p_one():

@@ -3,6 +3,7 @@ import io
 import json
 import sys
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -330,6 +331,18 @@ def test_is_t_tough_dp_path_keeps_sweep_witness():
 
 # ---------------------------------------------------------------------------
 # the sweep's representative walk and the "no" path
+
+@pytest.mark.parametrize("s", range(1, 9))
+def test_plain_walk_yields_every_subset_once(s):
+    # on the edgeless graph every s-set with s <= n - 2 is a cut-set leaving
+    # n - s components, so the plain walk must yield all C(n, s) of them,
+    # each once; that is the count _size_cuts charges the plain walk
+    n = 10
+    g = from_edges(n, [])
+    walked = sorted(_cuts(_union_tables(g.adj, n), n, s))
+    want = sorted(mask_of(c) for c in combinations(range(n), s))
+    assert walked == [(x, n - s) for x in want]
+
 
 def test_forcing_lemma_walk_covers_every_separating_set(rng):
     # every s-set leaving >= k components contains F(I) for the least
