@@ -35,6 +35,7 @@ from .invariants import (
     toughness,
     toughness_json,
 )
+from .parallel import usable_cpus
 from .search import PREDICATES, SearchSpec, run_census
 from .verify import CLAIM_IDS, CLAIMS, ledger_json, run_ledger
 
@@ -325,9 +326,9 @@ def _worker_count(text: str) -> int:
     return workers
 
 
-def _add_workers(sub, text: str = "worker processes, capped at the machine's core count") -> None:
-    sub.add_argument("--workers", type=_worker_count, default=os.cpu_count() or 1,
-                     help=f"{text} (default: machine parallelism)")
+def _add_workers(sub, default: int, text: str) -> None:
+    sub.add_argument("--workers", type=_worker_count, default=default,
+                     help=f"{text} (default: %(default)s)")
 
 
 def _add_input(sub) -> None:
@@ -360,7 +361,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_input(inv)
     inv.add_argument("--input-format", choices=("graph6", "edges"), default="graph6")
     inv.add_argument("--format", choices=("json", "table"), default="json")
-    _add_workers(inv, "accepted for compatibility; invariants run in one process")
+    _add_workers(inv, 1, "accepted for compatibility; invariants run in one process")
     inv.set_defaults(handler=cmd_invariant)
 
     ver = subs.add_parser("verify", help="run the claim ledger")
@@ -371,7 +372,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--odd-only", action="store_true",
                      help="skip even m in the requested range")
     ver.add_argument("--format", choices=("json", "table"), default="json")
-    _add_workers(ver)
+    _add_workers(ver, 1, "worker processes, capped at the usable CPUs; a pool only pays "
+                         "off on ranges past the default ledger")
     ver.set_defaults(handler=cmd_verify)
 
     cen = subs.add_parser("census", help="filter regular graphs by predicates")
@@ -389,7 +391,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cen.add_argument("--emit-dot", metavar="DIR",
                      help="write one DOT file per survivor into a directory")
     cen.add_argument("--format", choices=("json", "table"), default="json")
-    _add_workers(cen)
+    _add_workers(cen, usable_cpus(), "worker processes, capped at the usable CPUs")
     cen.set_defaults(handler=cmd_census)
 
     cor = subs.add_parser("corpus", help="emit seeded random connected graphs")

@@ -344,16 +344,34 @@ def _dp_steps(g: Graph, start: int, alpha: int, p: int, q: int) -> list[tuple] |
 
 def _place(labels: tuple, nbrs: tuple, keep: tuple, in_cut: bool) -> tuple[tuple, int]:
     """Frontier labels after one placement, and the components it closed."""
+    fresh = len(labels)  # canonical ids are all below the frontier size
     if in_cut:
         grown = labels + (-1,)
     else:
-        merged = {labels[i] for i in nbrs if labels[i] >= 0}
-        fresh = len(labels)  # canonical ids are all below the frontier size
-        grown = tuple(fresh if x in merged else x for x in labels) + (fresh,)
-    kept = [grown[i] for i in keep]
-    closed = len({x for x in grown if x >= 0}.difference(kept))
-    rename: dict[int, int] = {}
-    return tuple(-1 if x < 0 else rename.setdefault(x, len(rename)) for x in kept), closed
+        to = [*range(fresh), -1]  # to[-1] maps the cut label to itself
+        for i in nbrs:
+            to[labels[i]] = fresh  # the new vertex's block absorbs its neighbours'
+        to[-1] = -1  # undo the write made by a neighbour in the cut
+        grown = [to[x] for x in labels]
+        grown.append(fresh)
+    rename = [-1] * (fresh + 1)
+    kept = []
+    seen = 0
+    for i in keep:
+        x = grown[i]
+        if x >= 0:
+            if rename[x] < 0:
+                rename[x] = seen
+                seen += 1
+            x = rename[x]
+        kept.append(x)
+    closed = 0  # blocks that left the frontier are closed components
+    for x in grown:
+        if x >= 0 and rename[x] < 0:
+            rename[x] = seen
+            seen += 1
+            closed += 1
+    return tuple(kept), closed
 
 
 def _frontier_dp(steps: list[tuple], a: int, b: int) -> tuple[int, int, int] | None:
@@ -363,25 +381,37 @@ def _frontier_dp(steps: list[tuple], a: int, b: int) -> tuple[int, int, int] | N
     ratio with minimum 0 the S returned is the smallest-mask cut-set of
     that ratio.  None when the live states pass ``_DP_MAX_STATES``.
     """
-    states = {((), 0): (0, 0, 0)}
+    # frontier labels -> the best (value, S, k) for each capped count 0, 1, 2
+    states = {(): [(0, 0, 0), None, None]}
     for nbrs, keep, bit in steps:
-        moves: dict[tuple, tuple] = {}
-        nxt: dict[tuple, tuple[int, int, int]] = {}
-        for (labels, capped), (val, x, k) in states.items():
-            pair = moves.get(labels)
-            if pair is None:
-                pair = moves[labels] = (_place(labels, nbrs, keep, True),
-                                        _place(labels, nbrs, keep, False))
-            for (cost, add), (lab, closed) in zip(((b, bit), (0, 0)), pair):
-                key = (lab, min(2, capped + closed))
-                cand = (val + cost - a * closed, x | add, k + closed)
-                old = nxt.get(key)
-                if old is None or cand < old:
-                    nxt[key] = cand
-        if len(nxt) > _DP_MAX_STATES:
+        placements = ((b, bit, True), (0, 0, False))
+        nxt: dict[tuple, list] = {}
+        live = 0
+        for labels, row in states.items():
+            for cost, add, in_cut in placements:
+                lab, closed = _place(labels, nbrs, keep, in_cut)
+                out = nxt.get(lab)
+                if out is None:
+                    out = nxt[lab] = [None, None, None]
+                gain = cost - a * closed
+                for capped, old in enumerate(row):
+                    if old is None:
+                        continue
+                    val, x, k = old
+                    cand = (val + gain, x | add, k + closed)
+                    slot = capped + closed
+                    if slot > 2:
+                        slot = 2
+                    cur = out[slot]
+                    if cur is None:
+                        out[slot] = cand
+                        live += 1
+                    elif cand < cur:
+                        out[slot] = cand
+        if live > _DP_MAX_STATES:
             return None
         states = nxt
-    final = states.get(((), 2))
+    final = states[()][2]
     if final is None:
         raise RuntimeError("frontier DP found no cut-set in a connected non-complete graph")
     return final

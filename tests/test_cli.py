@@ -2,15 +2,20 @@
 
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+from toughkit import cli
 from toughkit.cli import ENVELOPE, OK, PARSE, USAGE, VERIFY_FAIL, main
-from toughkit.cli import _use_color, _verdict_text
+from toughkit.cli import _build_parser, _use_color, _verdict_text
 from toughkit.formats import parse_edge_list, parse_graph6, serialize_graph6
 from toughkit.generators import build_jm, cycle, cycle_power, petersen, star
+from toughkit.parallel import usable_cpus
 from toughkit.search import canonical_form
 
 
@@ -196,6 +201,30 @@ def test_workers_below_one_is_a_usage_error(capsys, cmd, workers):
     assert code == USAGE
     assert out == ""
     assert "need at least 1 worker" in err
+
+
+def test_verify_defaults_to_one_process_and_census_to_every_usable_cpu(monkeypatch):
+    assert _build_parser().parse_args(["verify"]).workers == 1
+    census = ["census", "--n", "5", "--r", "4"]
+    assert _build_parser().parse_args(census).workers == usable_cpus()
+    monkeypatch.setattr(cli, "usable_cpus", lambda: 3)
+    assert _build_parser().parse_args(census).workers == 3
+
+
+def test_serial_runs_never_import_multiprocessing():
+    script = (
+        "import contextlib, io, sys\n"
+        "from toughkit.cli import main\n"
+        "sys.stdin = io.StringIO(sys.argv[1])\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(['verify']), main(['invariant', 'toughness', '--stdin'])]\n"
+        "print(codes, 'multiprocessing' in sys.modules)\n")
+    src = Path(cli.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-c", script, serialize_graph6(petersen())],
+                          env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == f"{[VERIFY_FAIL, OK]} False\n"
 
 
 def test_invariant_needs_an_input(capsys):

@@ -416,10 +416,21 @@ def test_worker_pool_rejects_fewer_than_one_worker():
 
 
 def test_worker_pool_caps_workers_at_core_count(monkeypatch):
+    # the affinity set wins over the core count where the OS has one
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    with worker_pool(2) as pmap:
+        assert pmap(_pid, range(4)) == [os.getpid()] * 4  # plain loop, no fork
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     for cores in (1, None):
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
         with worker_pool(2) as pmap:
             assert pmap(_pid, range(4)) == [os.getpid()] * 4  # plain loop, no fork
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    with worker_pool(2) as pmap:
+        assert os.getpid() not in pmap(_pid, range(8))  # forked despite one core
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     with worker_pool(2) as pmap:
         pids = pmap(_pid, range(8))

@@ -37,6 +37,7 @@ from toughkit.invariants import (
     _cuts,
     _dinkelbach,
     _dp_steps,
+    _frontier_dp,
     _frontier_plan,
     _isolation_seed,
     _representatives,
@@ -318,6 +319,19 @@ def test_state_ceiling_falls_back_to_the_sweep(monkeypatch):
     assert _dinkelbach(steps, *_isolation_seed(g)[:2]) is None
     assert toughness(g) == want
     assert is_t_tough(g, 2) == (True, None)
+
+
+def test_state_ceiling_counts_labels_with_capped_count(monkeypatch):
+    # peak live (frontier labels, capped count) states of one pass at the
+    # isolation seed's ratio: the pass fits a ceiling of exactly that many
+    for g, peak in ((build_jm(5).graph, 124), (build_jm(7).graph, 170),
+                    (line_graph(petersen()), 386)):
+        steps, _ = _frontier_plan(g)
+        s, k, _ = _isolation_seed(g)
+        monkeypatch.setattr(invariants, "_DP_MAX_STATES", peak)
+        assert _frontier_dp(steps, s, k) is not None
+        monkeypatch.setattr(invariants, "_DP_MAX_STATES", peak - 1)
+        assert _frontier_dp(steps, s, k) is None
 
 
 def test_is_t_tough_dp_path_keeps_sweep_witness():
