@@ -17,6 +17,7 @@ Table output colors verdicts only on a tty and never when NO_COLOR is set.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -332,11 +333,15 @@ def _add_workers(sub, default: int, text: str) -> None:
 
 
 def _add_input(sub) -> None:
-    sub.add_argument("--input", metavar="PATH", help="read the graph from a file")
-    sub.add_argument("--stdin", action="store_true", help="read the graph from stdin")
+    source = sub.add_mutually_exclusive_group()
+    source.add_argument("--input", metavar="PATH", help="read the graph from a file")
+    source.add_argument("--stdin", action="store_true", help="read the graph from stdin")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(census_workers: int | None = None) -> argparse.ArgumentParser:
+    """A fresh parser; census --workers defaults to ``usable_cpus()`` unless given."""
+    if census_workers is None:
+        census_workers = usable_cpus()
     parser = argparse.ArgumentParser(
         prog="toughkit",
         description="exact toughness, connectivity, independence and claw "
@@ -391,7 +396,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cen.add_argument("--emit-dot", metavar="DIR",
                      help="write one DOT file per survivor into a directory")
     cen.add_argument("--format", choices=("json", "table"), default="json")
-    _add_workers(cen, usable_cpus(), "worker processes, capped at the usable CPUs")
+    _add_workers(cen, census_workers, "worker processes, capped at the usable CPUs")
     cen.set_defaults(handler=cmd_census)
 
     cor = subs.add_parser("corpus", help="emit seeded random connected graphs")
@@ -406,10 +411,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args makes a new Namespace on every call, so one parser serves every
+# main call of a process.  The census --workers default is the one value it
+# reads from outside, so it keys the cache.
+_parser_for = functools.lru_cache(maxsize=None)(_build_parser)
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser_for(usable_cpus()).parse_args(argv)
     except SystemExit as exc:
         return USAGE if exc.code else OK
     try:

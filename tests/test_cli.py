@@ -16,7 +16,7 @@ from toughkit.cli import _build_parser, _use_color, _verdict_text
 from toughkit.formats import parse_edge_list, parse_graph6, serialize_graph6
 from toughkit.generators import build_jm, cycle, cycle_power, petersen, star
 from toughkit.parallel import usable_cpus
-from toughkit.search import canonical_form
+from toughkit.search import canonical_form, run_census
 
 
 def run_cli(capsys, *argv):
@@ -211,6 +211,28 @@ def test_verify_defaults_to_one_process_and_census_to_every_usable_cpu(monkeypat
     assert _build_parser().parse_args(census).workers == 3
 
 
+def test_census_workers_default_follows_usable_cpus_through_main(monkeypatch, capsys):
+    seen = []
+
+    def recording(spec, stream=None, workers=1):
+        seen.append(workers)
+        return run_census(spec, stream=stream)
+
+    monkeypatch.setattr(cli, "run_census", recording)
+    monkeypatch.setattr(cli, "usable_cpus", lambda: 3)
+    assert run_cli(capsys, "census", "--n", "5", "--r", "4")[0] == OK
+    monkeypatch.setattr(cli, "usable_cpus", lambda: 1)
+    assert run_cli(capsys, "census", "--n", "5", "--r", "4")[0] == OK
+    assert seen == [3, 1]
+
+
+def _src_env() -> dict:
+    """The environment of a child interpreter that imports this toughkit."""
+    src = Path(cli.__file__).resolve().parent.parent
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p)}
+
+
 def test_serial_runs_never_import_multiprocessing():
     script = (
         "import contextlib, io, sys\n"
@@ -219,12 +241,41 @@ def test_serial_runs_never_import_multiprocessing():
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [main(['verify']), main(['invariant', 'toughness', '--stdin'])]\n"
         "print(codes, 'multiprocessing' in sys.modules)\n")
-    src = Path(cli.__file__).resolve().parent.parent
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (str(src), os.environ.get("PYTHONPATH")) if p)}
     done = subprocess.run([sys.executable, "-c", script, serialize_graph6(petersen())],
-                          env=env, capture_output=True, text=True, check=True)
+                          env=_src_env(), capture_output=True, text=True, check=True)
     assert done.stdout == f"{[VERIFY_FAIL, OK]} False\n"
+
+
+def test_one_parser_serves_every_call_and_carries_no_state(monkeypatch, capsys):
+    j5 = serialize_graph6(build_jm(5).graph) + "\n"
+    fresh = subprocess.run([sys.executable, "-m", "toughkit", "invariant", "toughness",
+                            "--stdin"], input=j5.encode("ascii"), env=_src_env(),
+                           capture_output=True, check=True).stdout
+    cli._parser_for.cache_clear()
+    assert run_cli(capsys, "verify", "--workers", "0")[0] == USAGE
+    code, help_text, _ = run_cli(capsys, "--help")
+    assert code == OK and help_text.startswith("usage: toughkit")
+    assert run_cli(capsys, "--help") == (OK, help_text, "")
+    feed_stdin(monkeypatch, j5)
+    code, out, _ = run_cli(capsys, "invariant", "toughness", "--stdin")
+    assert code == OK and out.encode("ascii") == fresh
+    assert run_cli(capsys, "verify", "--claim", "LEMMA_A", "--m", "3")[0] == OK
+    code, out, _ = run_cli(capsys, "verify", "--claim", "THEOREM", "--m", "3")
+    assert code == OK
+    assert [r["claim"] for r in json.loads(out)] == ["THEOREM"]
+    # every call above parsed with the one parser built by the first
+    assert cli._parser_for.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("cmd", [["invariant", "toughness"],
+                                 ["census", "--n", "5", "--r", "4"]])
+def test_input_and_stdin_together_are_a_usage_error(tmp_path, monkeypatch, capsys, cmd):
+    path = tmp_path / "g.g6"
+    path.write_text(serialize_graph6(petersen()) + "\n")
+    feed_stdin(monkeypatch, "")
+    code, out, err = run_cli(capsys, *cmd, "--input", str(path), "--stdin")
+    assert (code, out) == (USAGE, "")
+    assert err.endswith("error: argument --stdin: not allowed with argument --input\n")
 
 
 def test_invariant_needs_an_input(capsys):
