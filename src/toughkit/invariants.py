@@ -11,8 +11,8 @@ input.  At each size the sweep tries every subset, or only the sets that a
 forcing lemma allows around an independent set of component
 representatives, whichever is fewer.  Either path ranks cut-sets by ratio
 and then by bitmask, so the pass that proves the value also holds the
-witness.  The oracle walks every subset with none of that and exists only
-to gate the solver.  Both report the same witness: the minimizing cut-set
+witness.  The test suite's oracle walks every subset with none of that and
+gates the solver.  Both report the same witness: the minimizing cut-set
 with the smallest bitmask value (ties beyond that cannot occur).
 """
 
@@ -23,10 +23,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, inf
 
-from .graphs import EnvelopeError, Graph, VertexSet, bits, components, mask_of
-
-ORACLE_MAX_VERTICES = 22
-
+from .graphs import Graph, VertexSet, bits, components, mask_of
 
 INFINITE = inf
 
@@ -198,7 +195,7 @@ def toughness(g: Graph):
     alpha, _ = independence_number(g)
     kappa = connectivity(g).kappa
     seed = _isolation_seed(g)
-    steps = _dp_steps(g, max(1, kappa), alpha, seed[0], seed[1])
+    steps = _dp_steps(g, max(1, kappa), alpha, seed[0], seed[1], ties=True)
     found = None if steps is None else _dinkelbach(steps, seed[0], seed[1])
     if found is None:
         found = _sweep_value(g, kappa, alpha, seed)
@@ -222,16 +219,17 @@ def _isolation_seed(g: Graph) -> tuple[int, int, int]:
     return best
 
 
-def _sweep_sizes(n: int, start: int, alpha: int, p: int, q: int):
+def _sweep_sizes(n: int, start: int, alpha: int, p: int, q: int, *, ties: bool = False):
     """Cut-set sizes from ``start`` up that could still beat the ratio p/q.
 
     Removing s vertices leaves at most min(n - s, alpha) components (one
     independent vertex per component), so once s / that cap reaches p/q no
-    larger size can do better.
+    larger size can do better.  With ``ties`` the size where the cap only
+    ties p/q is yielded too, as ``_sweep_value`` scans it.
     """
     for s in range(start, n - 1):
         kcap = min(n - s, alpha)
-        if kcap < 2 or s * q >= p * kcap:
+        if kcap < 2 or s * q > p * kcap or (s * q == p * kcap and not ties):
             return
         yield s
 
@@ -327,14 +325,19 @@ def _bell_numbers(top: int) -> list[int]:
     return out
 
 
-def _dp_steps(g: Graph, start: int, alpha: int, p: int, q: int) -> list[tuple] | None:
+def _dp_steps(g: Graph, start: int, alpha: int, p: int, q: int, *,
+              ties: bool = False) -> list[tuple] | None:
     """Frontier-DP steps when the DP is estimated cheaper than the sweep.
 
     The sweep's work is the number of subsets of the sizes ``_sweep_sizes``
     allows at ratio p/q; the DP's is at most 3 * Bell(w + 1) states per step
-    of frontier width w.  None means the sweep should run.
+    of frontier width w.  None means the sweep should run.  ``toughness``
+    passes ``ties``, because its sweep also scans the size whose cap only
+    ties p/q, for a smaller optimal mask; on a sparse graph with a cut
+    vertex that is the largest size it scans.  ``is_t_tough`` does not: a
+    violation is strict, so its sweep stops before that size.
     """
-    sweep = sum(comb(g.n, s) for s in _sweep_sizes(g.n, start, alpha, p, q))
+    sweep = sum(comb(g.n, s) for s in _sweep_sizes(g.n, start, alpha, p, q, ties=ties))
     if sweep < _DP_MIN_SWEEP_WORK:
         return None
     steps, widths = _frontier_plan(g)
@@ -436,51 +439,6 @@ def _dinkelbach(steps: list[tuple], s: int, k: int) -> tuple[int, int, int] | No
         s, k = x.bit_count(), k2
         if val == 0:
             return s, k, x
-
-
-# ---------------------------------------------------------------------------
-# toughness, unpruned oracle
-
-def _oracle_components(adj_sets: list[set[int]], alive: set[int]) -> int:
-    seen: set[int] = set()
-    cnt = 0
-    for v in sorted(alive):
-        if v in seen:
-            continue
-        cnt += 1
-        stack = [v]
-        seen.add(v)
-        while stack:
-            u = stack.pop()
-            for w in adj_sets[u]:
-                if w in alive and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-    return cnt
-
-
-def toughness_oracle(g: Graph):
-    """Same contract as toughness(), via a full 2^n sweep with no pruning.
-
-    Deliberately naive (set-based BFS, every subset visited in ascending
-    mask order, so the first strict minimum has the smallest mask) so it
-    shares no search logic with the optimized solver.  Hard cap n <= 22.
-    """
-    if g.n > ORACLE_MAX_VERTICES:
-        raise EnvelopeError(
-            f"toughness oracle sweeps 2^n subsets, capped at n <= {ORACLE_MAX_VERTICES}"
-        )
-    adj_sets = [set(bits(row)) for row in g.adj]
-    verts = set(range(g.n))
-    best = INFINITE
-    for mask in range(1 << g.n):
-        alive = {v for v in verts if not mask >> v & 1}
-        k = _oracle_components(adj_sets, alive)
-        if k >= 2:
-            val = Fraction(mask.bit_count(), k)
-            if best is INFINITE or val < best.value:
-                best = ToughnessCertificate(val, mask, k)
-    return best
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,7 @@
 
 Everything here reads only ``Graph.n`` and ``Graph.adj`` and works with
 plain sets, bit tests and itertools, so it shares no search logic with the
-package.  The toughness oracle lives in the package itself (it is part of
-the public contract); these cover the rest.
+package.
 
 The census is checked without canonical forms, by the orbit-stabilizer
 identity: a graph G on n vertices has n!/|Aut(G)| distinct labelings, so a
@@ -18,7 +17,9 @@ from fractions import Fraction
 from itertools import combinations
 from math import factorial
 
-from toughkit import Graph
+from toughkit import INFINITE, EnvelopeError, Graph, ToughnessCertificate
+
+ORACLE_MAX_VERTICES = 22
 
 
 def adj_sets(g: Graph) -> list[set[int]]:
@@ -159,6 +160,47 @@ def cutsets_naive(g: Graph, s: int, k: int = 2) -> set[frozenset]:
         if len(components_naive(g, frozenset(combo))) >= k:
             out.add(frozenset(combo))
     return out
+
+
+def _oracle_components(nbrs: list[set[int]], alive: set[int]) -> int:
+    seen: set[int] = set()
+    cnt = 0
+    for v in sorted(alive):
+        if v in seen:
+            continue
+        cnt += 1
+        stack = [v]
+        seen.add(v)
+        while stack:
+            u = stack.pop()
+            for w in nbrs[u]:
+                if w in alive and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+    return cnt
+
+
+def toughness_oracle(g: Graph):
+    """Same contract as toughness(), via a full 2^n sweep with no pruning.
+
+    Every subset is visited in ascending mask order, so the first strict
+    minimum has the smallest mask.  Hard cap n <= 22.
+    """
+    if g.n > ORACLE_MAX_VERTICES:
+        raise EnvelopeError(
+            f"toughness oracle sweeps 2^n subsets, capped at n <= {ORACLE_MAX_VERTICES}"
+        )
+    nbrs = adj_sets(g)
+    verts = set(range(g.n))
+    best = INFINITE
+    for mask in range(1 << g.n):
+        alive = {v for v in verts if not mask >> v & 1}
+        k = _oracle_components(nbrs, alive)
+        if k >= 2:
+            val = Fraction(mask.bit_count(), k)
+            if best is INFINITE or val < best.value:
+                best = ToughnessCertificate(val, mask, k)
+    return best
 
 
 def first_violation_naive(g: Graph, t) -> tuple[bool, int | None]:

@@ -25,7 +25,6 @@ from toughkit.invariants import (
     claw_centers,
     connectivity,
     toughness,
-    toughness_oracle,
 )
 from toughkit.search import (
     SearchSpec,
@@ -51,6 +50,7 @@ from oracles import (
     components_naive,
     cutsets_naive,
     isomorphic_naive,
+    toughness_oracle,
 )
 
 

@@ -18,7 +18,6 @@ from toughkit import (
     is_t_tough,
     mask_of,
     toughness,
-    toughness_oracle,
 )
 from toughkit.cli import main
 from toughkit.formats import parse_graph6, serialize_graph6
@@ -42,11 +41,13 @@ from toughkit.invariants import (
     _isolation_seed,
     _representatives,
     _size_cuts,
+    _sweep_sizes,
+    _sweep_value,
     _union_tables,
     toughness_json,
 )
 
-from oracles import cutsets_naive, first_violation_naive
+from oracles import cutsets_naive, first_violation_naive, toughness_oracle
 
 # graph6 -> output digests of the four invariant commands, recorded from the
 # benchmark's corpus pool (336 labelings of 42 random graphs, n 14-20)
@@ -243,7 +244,7 @@ def _dp_chosen(g):
     """Whether toughness() takes the DP path for g (its cost rule)."""
     alpha, _ = independence_number(g)
     return _dp_steps(g, max(1, connectivity(g).kappa), alpha,
-                     *_isolation_seed(g)[:2]) is not None
+                     *_isolation_seed(g)[:2], ties=True) is not None
 
 
 def test_dp_value_matches_oracle_on_randoms(rng):
@@ -256,6 +257,18 @@ def test_dp_value_matches_oracle_on_randoms(rng):
             continue
         assert _dp_result(g) == (o.value, o.witness_cut, o.component_count), g.edges()
         checked += 1
+
+
+def test_dp_matches_sweep_beyond_the_oracle_range(rng):
+    # sparse graphs up to n = 20 can take the DP, past the n <= 12 that the
+    # DP-against-oracle test covers; both forced paths must give the same
+    # (|S|, k, lex-min witness)
+    for _ in range(40):
+        g = random_connected_graph(rng.randrange(14, 21), rng, p=rng.choice([0.1, 0.15, 0.2]))
+        seed = _isolation_seed(g)
+        steps, _ = _frontier_plan(g)
+        swept = _sweep_value(g, connectivity(g).kappa, independence_number(g)[0], seed)
+        assert _dinkelbach(steps, *seed[:2]) == swept, g.edges()
 
 
 JM_VALUES = {3: Fraction(2), 4: Fraction(7, 4), 5: Fraction(2), 6: Fraction(11, 6),
@@ -299,6 +312,33 @@ def test_cost_rule_sends_jm7_to_dp_and_dense_randoms_to_sweep(rng):
     for n in range(14, 21):
         g = random_connected_graph(n, rng, p=0.45)
         assert not _dp_chosen(g), g.edges()
+
+
+def test_toughness_sweep_estimate_counts_the_tie_size(monkeypatch):
+    # toughness's sweep also scans the size whose cap only ties the seed
+    # ratio; is_t_tough's stops before it, since a violation is strict
+    assert list(_sweep_sizes(20, 1, 10, 1, 2, ties=True)) == [1, 2, 3, 4, 5]
+    assert list(_sweep_sizes(20, 1, 10, 1, 2)) == [1, 2, 3, 4]
+    # n = 20, kappa = 1, alpha = 10: the seed ratio is 1/2 and the tie size
+    # 5 is most of the sweep, which the DP undercuts
+    g = parse_graph6("S?SC?GRcXPOhAAOgKC??_gACGW_@_A???")
+    alpha, _ = independence_number(g)
+    kappa = connectivity(g).kappa
+    seed = _isolation_seed(g)
+    assert (g.n, kappa, alpha, seed[:2]) == (20, 1, 10, (1, 2))
+    assert _dp_chosen(g)
+    assert _dp_steps(g, kappa, alpha, *seed[:2]) is None
+    swept = _sweep_value(g, kappa, alpha, seed)
+
+    def no_sweep(*args):
+        raise AssertionError("toughness swept a graph its cost rule sends to the DP")
+
+    monkeypatch.setattr(invariants, "_sweep_value", no_sweep)
+    cert = toughness(g)
+    assert toughness_json(cert) == {
+        "invariant": "toughness", "value": {"num": 1, "den": 2}, "witness": [1], "components": 2,
+    }
+    assert swept == (1, 2, cert.witness_cut)
 
 
 def test_cost_rule_skips_the_ordering_for_small_sweeps(monkeypatch):
