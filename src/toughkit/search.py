@@ -9,7 +9,10 @@ Enumeration is orderly: grow one vertex at a time, keep an extension only
 when the grown labeled graph is already its own canonical labeling.  The
 max-string canonical form is prefix-closed (a permutation improving a
 prefix would extend to one improving the whole string), so every class is
-produced exactly once and no isomorph store is needed.  An extension first
+produced exactly once and no isomorph store is needed.  Only the
+extensions that can still finish r-regular are built: the new vertex's
+neighbourhood is drawn from the degree deficits r - deg(v), taking every
+vertex that must join and subsets of those that may.  An extension first
 meets an O(1) exact test that drops it when swapping the last two vertices
 would already beat it.  The canonicity check then starts from the parent's:
 every partial labeling that ties the parent's identity columns (a tied
@@ -165,24 +168,38 @@ def canonical_form(g: Graph) -> str:
 # ---------------------------------------------------------------------------
 # orderly generation of connected r-regular graphs
 
-def _feasible(rows: list[int], newrow: int, n: int, r: int) -> bool:
-    """Can the prefix ``rows`` grown by a vertex with neighbours ``newrow``
-    still finish r-regular on n vertices?"""
+def _extensions(rows: list[int], n: int, r: int):
+    """Every neighbourhood ``newrow`` of a new vertex k = len(rows) after
+    which the prefix can still finish r-regular on n vertices, each once.
+
+    With s = n - k - 1 vertices still to come, a vertex of deficit
+    r - deg(v) equal to s + 1 must join, one of deficit 1..s may, and k's
+    own deficit r - c must lie in 0..s for c joiners.  The suffix then has
+    r*s - D - r + 2c edge ends left to pair among its own vertices, D the
+    sum of the old deficits: at least 0, at most s(s - 1), and even, a
+    parity that no choice of c changes.  ``rows`` is the root ``[0]`` or
+    was grown by this generator, so every deficit is already in 0..s + 1.
+    """
     s = n - len(rows) - 1
+    forced = 0
+    optional = []
     total = 0
     for v, row in enumerate(rows):
-        d = r - row.bit_count() - (newrow >> v & 1)
-        if d < 0 or d > s:
-            return False
+        d = r - row.bit_count()
         total += d
-    d = r - newrow.bit_count()
-    if d < 0 or d > s:
-        return False
-    total += d
-    if total > r * s:
-        return False
-    spare = r * s - total  # twice the edge count still to be placed inside the suffix
-    return spare % 2 == 0 and spare <= s * (s - 1)
+        if d == s + 1:
+            forced |= 1 << v
+        elif d:
+            optional.append(1 << v)
+    base = r * s - total - r
+    if base % 2:
+        return
+    need = forced.bit_count()
+    lo = max(r - s, need, -base // 2)
+    hi = min(r, need + len(optional), (s * (s - 1) - base) // 2)
+    for c in range(lo, hi + 1):
+        for combo in combinations(optional, c - need):
+            yield sum(combo, forced)
 
 
 def _swap_beats(rows: list[int], newrow: int) -> bool:
@@ -311,28 +328,21 @@ def _descend(rows: list[int], trie, order: int, n: int, r: int, out: list) -> No
         return
     record = k + 1 < order  # a leaf's tied prefixes are never read
     sizes = [len(level) for level in verts]
-    open_verts = [v for v in range(k) if rows[v].bit_count() < r]
-    for size in range(min(r, len(open_verts)) + 1):
-        for combo in combinations(open_verts, size):
-            newrow = 0
-            for v in combo:
-                newrow |= 1 << v
-            if _swap_beats(rows, newrow) or not _feasible(rows, newrow, n, r):
-                continue
-            grown = rows.copy()
-            for v in combo:
-                grown[v] |= 1 << k
-            grown.append(newrow)
-            col = 0
-            for v in range(k):
-                col = col << 1 | newrow >> v & 1
-            want.append(col)
-            if _child_is_canonical(grown, want, verts, pars, record):
-                _descend(grown, trie, order, n, r, out)
-            want.pop()
-            if record:
-                for vs, ps, size_d in zip(verts, pars, sizes):
-                    del vs[size_d:], ps[size_d:]
+    for newrow in _extensions(rows, n, r):
+        if _swap_beats(rows, newrow):
+            continue
+        grown = [row | (newrow >> v & 1) << k for v, row in enumerate(rows)]
+        grown.append(newrow)
+        col = 0
+        for v in range(k):
+            col = col << 1 | newrow >> v & 1
+        want.append(col)
+        if _child_is_canonical(grown, want, verts, pars, record):
+            _descend(grown, trie, order, n, r, out)
+        want.pop()
+        if record:
+            for vs, ps, size_d in zip(verts, pars, sizes):
+                del vs[size_d:], ps[size_d:]
 
 
 def _subtrees(task) -> list[list[int]]:

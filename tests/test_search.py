@@ -28,8 +28,9 @@ from toughkit.search import (
     enumerate_regular,
     run_census,
     _child_is_canonical,
-    _feasible,
+    _extensions,
     _is_max_canonical,
+    _subtrees,
     _swap_beats,
     _tied_prefixes,
 )
@@ -196,6 +197,38 @@ def _feasible_naive(grown, n, r):
             and spare % 2 == 0 and spare <= s * (s - 1))
 
 
+def _grow(rows, newrow):
+    k = len(rows)
+    return [row | (newrow >> v & 1) << k for v, row in enumerate(rows)] + [newrow]
+
+
+# connected r-regular classes for r > 4, beyond enumerate_regular's envelope
+# (OEIS A006821, A006822)
+_WIDE_COUNTS = {(6, 5): 1, (8, 5): 3, (7, 6): 1, (8, 6): 1, (9, 6): 4}
+
+
+@pytest.mark.parametrize("n,r", [(n, r) for n in range(2, 10) for r in range(0, 7)
+                                 if r < n and n * r % 2 == 0] + [(10, 3)])
+def test_extensions_are_exactly_the_feasible_subsets(n, r):
+    # on every prefix the search reaches, compare the generator with a
+    # filter over every subset of the open vertices; _subtrees grows each
+    # level directly, so r > 4 needs no lift of enumerate_regular's cap
+    level = [[0]]
+    while level and len(level[0]) < n:
+        for rows in level:
+            open_verts = [v for v in range(len(rows)) if rows[v].bit_count() < r]
+            feasible = sorted(mask_of(combo)
+                              for size in range(len(open_verts) + 1)
+                              for combo in combinations(open_verts, size)
+                              if _feasible_naive(_grow(rows, mask_of(combo)), n, r))
+            assert sorted(_extensions(rows, n, r)) == feasible, (n, r, rows)
+        level = _subtrees((level, len(level[0]) + 1, n, r))
+    assert all(row.bit_count() == r for rows in level for row in rows)
+    connected = [rows for rows in level if is_connected(Graph(n, tuple(rows)))]
+    expected = _WIDE_COUNTS[n, r] if r > 4 else len(enumerate_regular(n, r))
+    assert len(connected) == expected
+
+
 def test_swap_prefilter_never_rejects_a_canonical_extension():
     # walk the orderly search without the prefilter and test it on every
     # candidate extension the full canonicity check sees
@@ -208,28 +241,38 @@ def test_swap_prefilter_never_rejects_a_canonical_extension():
             for k in range(1, n):
                 nxt = []
                 for rows in level:
-                    open_verts = [v for v in range(k) if rows[v].bit_count() < r]
-                    for size in range(min(r, len(open_verts)) + 1):
-                        for combo in combinations(open_verts, size):
-                            newrow = mask_of(combo)
-                            grown = [row | (newrow >> v & 1) << k
-                                     for v, row in enumerate(rows)] + [newrow]
-                            feasible = _feasible_naive(grown, n, r)
-                            assert _feasible(rows, newrow, n, r) == feasible
-                            if not feasible:
-                                continue
-                            canonical = _is_max_canonical(k + 1, grown)
-                            if _swap_beats(rows, newrow):
-                                assert not canonical, (n, r, grown)
-                                rejected += 1
-                            else:
-                                kept += 1
-                            if canonical:
-                                nxt.append(grown)
+                    for newrow in _extensions(rows, n, r):
+                        grown = _grow(rows, newrow)
+                        canonical = _is_max_canonical(k + 1, grown)
+                        if _swap_beats(rows, newrow):
+                            assert not canonical, (n, r, grown)
+                            rejected += 1
+                        else:
+                            kept += 1
+                        if canonical:
+                            nxt.append(grown)
                 level = nxt
             assert len([g for g in level if is_connected(Graph(n, tuple(g)))]) == len(
                 enumerate_regular(n, r))
     assert rejected > kept > 0
+
+
+def test_serial_search_builds_only_feasible_candidates(monkeypatch):
+    # every candidate the search builds meets the swap test first, so
+    # counting its calls counts candidates; noise-free, unlike a timing
+    calls = {"swap": 0, "canonical": 0}
+
+    def counted(name, fn):
+        def spy(*args):
+            calls[name] += 1
+            return fn(*args)
+        return spy
+
+    monkeypatch.setattr(search, "_swap_beats", counted("swap", _swap_beats))
+    monkeypatch.setattr(search, "_child_is_canonical",
+                        counted("canonical", _child_is_canonical))
+    assert len(enumerate_regular(10, 4, workers=1)) == 59
+    assert calls == {"swap": 12089, "canonical": 2762}
 
 
 @pytest.mark.parametrize("n,r", [(10, 4), (10, 3)])
@@ -295,34 +338,28 @@ def test_parent_check_matches_full_check(n, r):
     for k in range(1, n):
         nxt = []
         for rows, (verts, pars, want) in level:
-            open_verts = [v for v in range(k) if rows[v].bit_count() < r]
-            for size in range(min(r, len(open_verts)) + 1):
-                for combo in combinations(open_verts, size):
-                    newrow = mask_of(combo)
-                    if not _feasible(rows, newrow, n, r):
-                        continue
-                    grown = [row | (newrow >> v & 1) << k
-                             for v, row in enumerate(rows)] + [newrow]
-                    child_want = want + [int("".join(str(newrow >> v & 1)
-                                                     for v in range(k)), 2)]
-                    canonical = _is_max_canonical(k + 1, grown)
-                    assert _child_is_canonical(grown, child_want, verts, pars,
-                                               False) == canonical, grown
-                    child_verts = [vs.copy() for vs in verts]
-                    child_pars = [ps.copy() for ps in pars]
-                    assert _child_is_canonical(grown, child_want, child_verts,
-                                               child_pars, True) == canonical, grown
-                    if not canonical:
-                        rejected += 1
-                        continue
-                    accepted += 1
-                    carried = _tied_set(child_verts, child_pars)
-                    fresh_verts, fresh_pars, fresh_want = _tied_prefixes(grown, n)
-                    assert fresh_want == child_want
-                    assert carried == _tied_set(fresh_verts, fresh_pars), grown
-                    if k < 7:
-                        assert carried == _naive_tied_set(grown), grown
-                    nxt.append((grown, (child_verts, child_pars, child_want)))
+            for newrow in _extensions(rows, n, r):
+                grown = _grow(rows, newrow)
+                child_want = want + [int("".join(str(newrow >> v & 1)
+                                                 for v in range(k)), 2)]
+                canonical = _is_max_canonical(k + 1, grown)
+                assert _child_is_canonical(grown, child_want, verts, pars,
+                                           False) == canonical, grown
+                child_verts = [vs.copy() for vs in verts]
+                child_pars = [ps.copy() for ps in pars]
+                assert _child_is_canonical(grown, child_want, child_verts,
+                                           child_pars, True) == canonical, grown
+                if not canonical:
+                    rejected += 1
+                    continue
+                accepted += 1
+                carried = _tied_set(child_verts, child_pars)
+                fresh_verts, fresh_pars, fresh_want = _tied_prefixes(grown, n)
+                assert fresh_want == child_want
+                assert carried == _tied_set(fresh_verts, fresh_pars), grown
+                if k < 7:
+                    assert carried == _naive_tied_set(grown), grown
+                nxt.append((grown, (child_verts, child_pars, child_want)))
         level = nxt
     assert len([g for g, _ in level if is_connected(Graph(n, tuple(g)))]) == len(
         enumerate_regular(n, r))
