@@ -2,8 +2,12 @@
 
 Canonical form: the graph6 string of the labeling whose upper-triangle
 bitstring (column-major, the graph6 bit order) is lexicographically
-maximal over all permutations, found by backtracking with prefix pruning.
-Two graphs share the string iff they are isomorphic.
+maximal over all permutations.  Two graphs share the string iff they are
+isomorphic.  One branch and bound finds it, seeded with the identity's
+columns: it walks only the prefixes that tie or beat the best string so
+far, and of two twins (swapping them is an automorphism that fixes every
+other vertex) it tries only the lower.  So K_12 walks one path, not its
+12! tied labelings.
 
 Enumeration is orderly: grow one vertex at a time, keep an extension only
 when the grown labeled graph is already its own canonical labeling.  The
@@ -56,94 +60,48 @@ def _identity_cols(n: int, adj) -> list[int]:
     return cols
 
 
-def _is_max_canonical(n: int, adj) -> bool:
-    """Is this labeling already the lex-max one?  Backtracks over labelings,
-    pruning branches that fall below the identity string."""
-    if n == 1:
-        return True
-    target = _identity_cols(n, adj)
-
-    def dfs(depth: int, placed: list[int], placed_mask: int) -> bool:
-        if depth == n:
-            return True  # an automorphism, not a beater
-        want = target[depth - 1] if depth else 0
-        for v in range(n):
-            if placed_mask >> v & 1:
-                continue
-            if depth == 0:
-                if not dfs(1, [v], 1 << v):
-                    return False
-                continue
-            row = adj[v]
-            col = 0
-            for p in placed:
-                col = col << 1 | row >> p & 1
-            if col > want:
-                return False  # found a strictly larger labeling
-            if col == want:
-                placed.append(v)
-                ok = dfs(depth + 1, placed, placed_mask | 1 << v)
-                placed.pop()
-                if not ok:
-                    return False
-        return True
-
-    return dfs(0, [], 0)
-
-
 def _max_labeling(n: int, adj) -> list[int]:
     """Position -> vertex permutation achieving the lex-max column string.
 
-    ``equal`` tracks whether the column prefix built so far ties the current
-    best exactly; after a strictly-greater subtree returns, the best has been
-    replaced by a path extending this prefix, so the flag flips to equal.
+    Branch and bound seeded with the identity's columns ``best``, with
+    ``best[0] = 0`` for the empty column at position 0.  At each position
+    only the vertices of the largest column can lead to the best string:
+    a largest column below ``best`` cuts the branch, a tie is walked, and a
+    larger one overwrites ``best`` from that position on, the deeper
+    positions reset to -1.  So every leaf realizes ``best``, and the last
+    leaf is a maximum.  Of two twins (vertices with the same neighbours
+    apart from each other, so swapping them is an automorphism that fixes
+    every other vertex) only the lower one is tried while both are unplaced.
     """
-    best_cols: list[int] | None = None
-    best_perm: list[int] | None = None
-    cols: list[int] = []
+    best = [0, *_identity_cols(n, adj)]
+    lower_twins = [sum(1 << u for u in range(v)
+                       if adj[u] & ~(1 << v) == adj[v] & ~(1 << u))
+                   for v in range(n)]
     placed: list[int] = []
+    perm: list[int] = []
 
-    def dfs(depth: int, placed_mask: int, equal: bool) -> None:
-        nonlocal best_cols, best_perm
+    def dfs(mask: int, rest: list[int], cols: list[int]) -> None:
+        """Extend ``placed``, whose columns tie ``best``; ``cols[i]`` is the
+        column of the unplaced vertex ``rest[i]`` over ``placed``."""
+        depth = len(placed)
         if depth == n:
-            if not equal:
-                best_cols = cols.copy()
-                best_perm = placed.copy()
+            perm[:] = placed
             return
-        cands = []
-        for v in range(n):
-            if placed_mask >> v & 1:
-                continue
-            row = adj[v]
-            col = 0
-            for p in placed:
-                col = col << 1 | row >> p & 1
-            cands.append((col, v))
-        cands.sort(key=lambda cv: (-cv[0], cv[1]))
-        for col, v in cands:
-            if depth == 0:
-                child_equal = equal  # no column at position 0
-            elif equal:
-                ref = best_cols[depth - 1]
-                if col < ref:
-                    break  # sorted descending, nothing later can tie or beat
-                child_equal = col == ref
-            else:
-                child_equal = False
-            placed.append(v)
-            if depth:
-                cols.append(col)
-            dfs(depth + 1, placed_mask | 1 << v, child_equal)
-            if depth:
-                cols.pop()
-            placed.pop()
-            if not child_equal:
-                equal = True
+        top = max(cols)
+        if top < best[depth]:
+            return
+        if top > best[depth]:
+            best[depth:] = [top] + [-1] * (n - depth - 1)
+        for i, v in enumerate(rest):
+            if cols[i] == top and not lower_twins[v] & ~mask:
+                row = adj[v]
+                placed.append(v)
+                dfs(mask | 1 << v, rest[:i] + rest[i + 1:],
+                    [c << 1 | row >> u & 1 for u, c in zip(rest, cols) if u != v])
+                placed.pop()
 
-    dfs(0, 0, False)
-    if best_perm is None:
-        raise RuntimeError(f"no labeling reached depth {n}")
-    return best_perm
+    dfs(0, list(range(n)), [0] * n)
+    return perm
 
 
 def _check_canonical_order(n: int) -> None:
@@ -156,11 +114,8 @@ def _check_canonical_order(n: int) -> None:
 def canonical_form(g: Graph) -> str:
     """Canonical graph6 string: equal for two graphs iff they are isomorphic."""
     _check_canonical_order(g.n)
-    if g.n == 1 or _is_max_canonical(g.n, g.adj):
-        return serialize_graph6(g)
-    perm = _max_labeling(g.n, g.adj)
     old_to_new = [0] * g.n
-    for pos, v in enumerate(perm):
+    for pos, v in enumerate(_max_labeling(g.n, g.adj)):
         old_to_new[v] = pos
     return serialize_graph6(relabel(g, old_to_new))
 
@@ -372,8 +327,9 @@ def _enumerate(n: int, r: int, pmap, workers: int) -> list[Graph]:
 
 
 def _check_regular_params(n: int, r: int) -> None:
-    if n > 12 or r > 4:
-        raise EnvelopeError(f"enumeration capped at n <= 12, r <= 4, got ({n}, {r})")
+    if n > CANONICAL_MAX_VERTICES or r > 4:
+        raise EnvelopeError(
+            f"enumeration capped at n <= {CANONICAL_MAX_VERTICES}, r <= 4, got ({n}, {r})")
     if not 0 <= r < n:
         raise ValueError(f"need 0 <= r < n, got r={r}, n={n}")
     if n * r % 2:

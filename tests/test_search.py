@@ -11,9 +11,18 @@ from pathlib import Path
 import pytest
 
 from toughkit import search
-from toughkit.graphs import EnvelopeError, Graph, from_edges, is_connected, mask_of, relabel
+from toughkit.graphs import (
+    EnvelopeError,
+    Graph,
+    complement,
+    from_edges,
+    is_connected,
+    mask_of,
+    relabel,
+)
 from toughkit.generators import (
     build_jm,
+    complete,
     cycle,
     cycle_power,
     path,
@@ -29,7 +38,6 @@ from toughkit.search import (
     run_census,
     _child_is_canonical,
     _extensions,
-    _is_max_canonical,
     _subtrees,
     _swap_beats,
     _tied_prefixes,
@@ -101,6 +109,42 @@ def test_canonical_form_envelope():
     with pytest.raises(EnvelopeError):
         canonical_form(g)
     canonical_form(cycle(CANONICAL_MAX_VERTICES))  # boundary is allowed
+
+
+def _complete_multipartite(*sizes):
+    part = [i for i, size in enumerate(sizes) for _ in range(size)]
+    return from_edges(len(part), [(u, v) for u, v in combinations(range(len(part)), 2)
+                                  if part[u] != part[v]])
+
+
+# graphs with automorphism groups far too large to walk one labeling at a time
+SYMMETRIC_FORMS = [
+    ("K_12", lambda: complete(12), "K~~~~~~~~~~~"),
+    ("K_6,6", lambda: _complete_multipartite(6, 6), "KsaCB|}^b{No"),
+    ("K_4,4,4", lambda: _complete_multipartite(4, 4, 4), "K}rD|y{^z~N{"),
+    ("cocktail party", lambda: _complete_multipartite(*[2] * 6), "K~~~vnnv|~n~"),
+    ("2K_6", lambda: complement(_complete_multipartite(6, 6)), "K~~w?CB?wF_^"),
+    ("3K_4", lambda: complement(_complete_multipartite(4, 4, 4)), "K~?GW[??G@_F"),
+]
+
+
+@pytest.mark.parametrize("build,form", [case[1:] for case in SYMMETRIC_FORMS],
+                         ids=[case[0] for case in SYMMETRIC_FORMS])
+def test_canonical_form_of_symmetric_graphs(rng, build, form):
+    g = build()
+    assert canonical_form(g) == form
+    for _ in range(3):
+        assert canonical_form(shuffled(g, rng)) == form
+
+
+def test_canonical_forms_count_the_small_classes():
+    # every labeled graph on n <= 5 vertices; OEIS A000088
+    for n, classes in enumerate([1, 2, 4, 11, 34], start=1):
+        pairs = list(combinations(range(n), 2))
+        forms = {canonical_form(from_edges(n, [e for i, e in enumerate(pairs) if m >> i & 1]))
+                 for m in range(1 << len(pairs))}
+        assert len(forms) == classes, n
+        assert all(canonical_form(parse_graph6(f)) == f for f in forms)
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +241,13 @@ def _feasible_naive(grown, n, r):
             and spare % 2 == 0 and spare <= s * (s - 1))
 
 
+def _is_canonical(rows):
+    """Is this labeling its own canonical one?  A full labeling walk,
+    independent of the tied-prefix trie."""
+    g = Graph(len(rows), tuple(rows))
+    return canonical_form(g) == serialize_graph6(g)
+
+
 def _grow(rows, newrow):
     k = len(rows)
     return [row | (newrow >> v & 1) << k for v, row in enumerate(rows)] + [newrow]
@@ -243,7 +294,7 @@ def test_swap_prefilter_never_rejects_a_canonical_extension():
                 for rows in level:
                     for newrow in _extensions(rows, n, r):
                         grown = _grow(rows, newrow)
-                        canonical = _is_max_canonical(k + 1, grown)
+                        canonical = _is_canonical(grown)
                         if _swap_beats(rows, newrow):
                             assert not canonical, (n, r, grown)
                             rejected += 1
@@ -342,7 +393,7 @@ def test_parent_check_matches_full_check(n, r):
                 grown = _grow(rows, newrow)
                 child_want = want + [int("".join(str(newrow >> v & 1)
                                                  for v in range(k)), 2)]
-                canonical = _is_max_canonical(k + 1, grown)
+                canonical = _is_canonical(grown)
                 assert _child_is_canonical(grown, child_want, verts, pars,
                                            False) == canonical, grown
                 child_verts = [vs.copy() for vs in verts]
