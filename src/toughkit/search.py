@@ -18,12 +18,16 @@ extensions that can still finish r-regular are built: the new vertex's
 neighbourhood is drawn from the degree deficits r - deg(v), taking every
 vertex that must join and subsets of those that may.  An extension first
 meets an O(1) exact test that drops it when swapping the last two vertices
-would already beat it.  The canonicity check then starts from the parent's:
-every partial labeling that ties the parent's identity columns (a tied
-prefix) is kept in a trie, and a labeling of the child can only beat the
-child if it places the new vertex right after one of them.  So the check
-scans the parent's tied prefixes and backtracks only below the ones where
-the new vertex ties too (McKay 1998; Meringer 1999).
+would already beat it.  A surviving child with fewer than n vertices is
+skipped when it is barren: its new vertex closes an r-regular component,
+which takes no more edges, or none of its own extensions survives the swap
+test.  No connected leaf lies below either, and the survivors are handed
+down, so each list is built once.  The canonicity check then starts from
+the parent's: every partial labeling that ties the parent's identity
+columns (a tied prefix) is kept in a trie, and a labeling of the child can
+only beat the child if it places the new vertex right after one of them.
+So the check scans the parent's tied prefixes and backtracks only below the
+ones where the new vertex ties too (McKay 1998; Meringer 1999).
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .formats import ParseError, parse_graph6, serialize_graph6
-from .graphs import EnvelopeError, Graph, is_connected, relabel
+from .graphs import EnvelopeError, Graph, bits, is_connected, relabel
 from .invariants import (
     INFINITE,
     claw_centers,
@@ -272,10 +276,32 @@ def _child_is_canonical(grown: list[int], want, verts, pars, record: bool) -> bo
     return True
 
 
-def _descend(rows: list[int], trie, order: int, n: int, r: int, out: list) -> None:
+def _viable(rows: list[int], n: int, r: int) -> list[int]:
+    """The extensions of ``rows`` that survive the swap test."""
+    return [newrow for newrow in _extensions(rows, n, r) if not _swap_beats(rows, newrow)]
+
+
+def _closes_component(grown: list[int], r: int) -> bool:
+    """Is the component of the last vertex of ``grown`` already r-regular?"""
+    comp = frontier = 1 << len(grown) - 1
+    while frontier:
+        reach = 0
+        for v in bits(frontier):
+            if grown[v].bit_count() != r:
+                return False
+            reach |= grown[v]
+        frontier = reach & ~comp
+        comp |= frontier
+    return True
+
+
+def _descend(rows: list[int], cands: list[int], trie, order: int, n: int, r: int,
+             out: list) -> None:
     """Grow the canonical labeling ``rows`` depth-first to ``order`` vertices
-    and append those leaves to ``out``.  ``trie`` is ``(verts, pars, want)``
-    of ``rows``; it is left as it was found."""
+    and append those leaves to ``out``.  ``cands`` is ``_viable(rows, n, r)``
+    and ``trie`` is ``(verts, pars, want)`` of ``rows``; it is left as it
+    was found.  A barren child (see the module docstring) is skipped before
+    its canonicity check."""
     verts, pars, want = trie
     k = len(rows)
     if k == order:
@@ -283,17 +309,22 @@ def _descend(rows: list[int], trie, order: int, n: int, r: int, out: list) -> No
         return
     record = k + 1 < order  # a leaf's tied prefixes are never read
     sizes = [len(level) for level in verts]
-    for newrow in _extensions(rows, n, r):
-        if _swap_beats(rows, newrow):
-            continue
+    for newrow in cands:
         grown = [row | (newrow >> v & 1) << k for v, row in enumerate(rows)]
         grown.append(newrow)
+        grown_cands: list[int] = []
+        if k + 1 < n:
+            if _closes_component(grown, r):
+                continue
+            grown_cands = _viable(grown, n, r)
+            if not grown_cands:
+                continue
         col = 0
         for v in range(k):
             col = col << 1 | newrow >> v & 1
         want.append(col)
         if _child_is_canonical(grown, want, verts, pars, record):
-            _descend(grown, trie, order, n, r, out)
+            _descend(grown, grown_cands, trie, order, n, r, out)
         want.pop()
         if record:
             for vs, ps, size_d in zip(verts, pars, sizes):
@@ -305,7 +336,7 @@ def _subtrees(task) -> list[list[int]]:
     parents, order, n, r = task
     out: list[list[int]] = []
     for rows in parents:
-        _descend(rows, _tied_prefixes(rows, order), order, n, r, out)
+        _descend(rows, _viable(rows, n, r), _tied_prefixes(rows, order), order, n, r, out)
     return out
 
 
@@ -340,12 +371,15 @@ def enumerate_regular(n: int, r: int, workers: int = 1) -> list[Graph]:
     """All connected r-regular graphs on n vertices, one per isomorphism class.
 
     Orderly vertex-extension search; output sorted by canonical graph6 (the
-    emitted labelings are already canonical).  The search runs
-    breadth-first until a level has at least 64 parents, deals that level
-    into 8 strided groups per worker and grows each group depth-first to
-    order n on ``workers`` processes.  The leaves do not depend on how the
-    level was dealt, so neither does the output.  Envelope: n <= 12,
-    r <= 4.
+    emitted labelings are already canonical).  A child that closes an
+    r-regular component early, or that has no extension left to try, is
+    skipped before its canonicity check: no connected leaf lies below it,
+    so r <= 1 stops near the root instead of walking an empty graph's
+    automorphisms.  The search runs breadth-first until a level has at
+    least 64 parents, deals that level into 8 strided groups per worker and
+    grows each group depth-first to order n on ``workers`` processes.  The
+    leaves do not depend on how the level was dealt, so neither does the
+    output.  Envelope: n <= 12, r <= 4.
     """
     _check_regular_params(n, r)
     with worker_pool(workers) as pmap:

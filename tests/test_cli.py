@@ -391,6 +391,13 @@ def test_census_builtin_complete_convention(capsys):
     assert payload["survivors"] == []
 
 
+def test_census_of_degree_zero_ends_at_once(capsys):
+    code, out, _ = run_cli(capsys, "census", "--n", "12", "--r", "0",
+                           "--workers", "1", "--format", "table")
+    assert code == OK
+    assert "examined: 0" in out.splitlines()
+
+
 def test_census_builtin_with_artifacts(tmp_path, capsys):
     survivors = tmp_path / "survivors.g6"
     dotdir = tmp_path / "dots"

@@ -15,6 +15,7 @@ from toughkit.graphs import (
     EnvelopeError,
     Graph,
     complement,
+    components,
     from_edges,
     is_connected,
     mask_of,
@@ -38,7 +39,6 @@ from toughkit.search import (
     run_census,
     _child_is_canonical,
     _extensions,
-    _subtrees,
     _swap_beats,
     _tied_prefixes,
 )
@@ -214,6 +214,17 @@ def test_enumeration_matches_labeled_oracle():
             check_regular_classes(classes, n, r)
 
 
+def test_enumerate_regular_of_degree_at_most_one():
+    # the only connected classes are K_1 and K_2; every larger prefix closes
+    # a component or cannot finish, so the search stops near the root
+    # instead of walking the automorphisms of an empty graph
+    for n in range(1, CANONICAL_MAX_VERTICES + 1):
+        for r in (0, 1):
+            if r < n and n * r % 2 == 0:
+                expected = [serialize_graph6(complete(n))] if n == r + 1 else []
+                assert [serialize_graph6(g) for g in enumerate_regular(n, r)] == expected
+
+
 def test_enumerate_order_11_quartic_with_two_workers():
     assert len(enumerate_regular(11, 4, workers=2)) == 265  # OEIS A006820
 
@@ -253,6 +264,15 @@ def _grow(rows, newrow):
     return [row | (newrow >> v & 1) << k for v, row in enumerate(rows)] + [newrow]
 
 
+def _canonical_children(rows, n, r):
+    """The canonical children of ``rows``, with no barren-child skip."""
+    for newrow in _extensions(rows, n, r):
+        if not _swap_beats(rows, newrow):
+            grown = _grow(rows, newrow)
+            if _is_canonical(grown):
+                yield grown
+
+
 # connected r-regular classes for r > 4, beyond enumerate_regular's envelope
 # (OEIS A006821, A006822)
 _WIDE_COUNTS = {(6, 5): 1, (8, 5): 3, (7, 6): 1, (8, 6): 1, (9, 6): 4}
@@ -261,9 +281,9 @@ _WIDE_COUNTS = {(6, 5): 1, (8, 5): 3, (7, 6): 1, (8, 6): 1, (9, 6): 4}
 @pytest.mark.parametrize("n,r", [(n, r) for n in range(2, 10) for r in range(0, 7)
                                  if r < n and n * r % 2 == 0] + [(10, 3)])
 def test_extensions_are_exactly_the_feasible_subsets(n, r):
-    # on every prefix the search reaches, compare the generator with a
-    # filter over every subset of the open vertices; _subtrees grows each
-    # level directly, so r > 4 needs no lift of enumerate_regular's cap
+    # on every canonical prefix, barren or not, compare the generator with
+    # a filter over every subset of the open vertices; the levels are grown
+    # here, so r > 4 needs no lift of enumerate_regular's cap
     level = [[0]]
     while level and len(level[0]) < n:
         for rows in level:
@@ -273,11 +293,47 @@ def test_extensions_are_exactly_the_feasible_subsets(n, r):
                               for combo in combinations(open_verts, size)
                               if _feasible_naive(_grow(rows, mask_of(combo)), n, r))
             assert sorted(_extensions(rows, n, r)) == feasible, (n, r, rows)
-        level = _subtrees((level, len(level[0]) + 1, n, r))
+        level = [grown for rows in level for grown in _canonical_children(rows, n, r)]
     assert all(row.bit_count() == r for rows in level for row in rows)
     connected = [rows for rows in level if is_connected(Graph(n, tuple(rows)))]
     expected = _WIDE_COUNTS[n, r] if r > 4 else len(enumerate_regular(n, r))
     assert len(connected) == expected
+
+
+def _barren(grown, n, r):
+    """Would the search skip this child?  Its new vertex closes an r-regular
+    component, or none of its extensions survives the swap test."""
+    g = Graph(len(grown), tuple(grown))
+    last = 1 << g.n - 1
+    comp = next(c for c in components(g) if c & last)
+    closed = all(g.degree(v) == r for v in range(g.n) if comp >> v & 1)
+    return closed or all(_swap_beats(grown, e) for e in _extensions(grown, n, r))
+
+
+@pytest.mark.parametrize("n,r", [(n, r) for n in range(1, 10) for r in range(0, 5)
+                                 if r < n and n * r % 2 == 0] + [(10, 3)])
+def test_barren_child_skip_loses_no_leaf(n, r):
+    # walk the orderly search without the skip; no connected leaf lies below
+    # a child the skip drops, and the connected leaves are enumerate_regular's
+    # classes.  Only canonical children are walked: the canonical form is
+    # prefix-closed, so a dropped non-canonical child has no canonical leaf.
+    leaves = []
+
+    def walk(rows, dropped_at):
+        if len(rows) == n:
+            g = Graph(n, tuple(rows))
+            if is_connected(g):
+                assert dropped_at is None, (n, r, dropped_at, rows)
+                leaves.append(serialize_graph6(g))
+            return
+        for grown in _canonical_children(rows, n, r):
+            if dropped_at is None and len(grown) < n and _barren(grown, n, r):
+                walk(grown, grown)
+            else:
+                walk(grown, dropped_at)
+
+    walk([0], None)
+    assert sorted(leaves) == [serialize_graph6(g) for g in enumerate_regular(n, r)]
 
 
 def test_swap_prefilter_never_rejects_a_canonical_extension():
@@ -309,8 +365,10 @@ def test_swap_prefilter_never_rejects_a_canonical_extension():
 
 
 def test_serial_search_builds_only_feasible_candidates(monkeypatch):
-    # every candidate the search builds meets the swap test first, so
-    # counting its calls counts candidates; noise-free, unlike a timing
+    # the swap test runs once on every feasible extension of each kept
+    # prefix and of each child tested for barrenness, and the canonicity
+    # check once on each child that is not barren; noise-free, unlike a
+    # timing
     calls = {"swap": 0, "canonical": 0}
 
     def counted(name, fn):
@@ -323,7 +381,7 @@ def test_serial_search_builds_only_feasible_candidates(monkeypatch):
     monkeypatch.setattr(search, "_child_is_canonical",
                         counted("canonical", _child_is_canonical))
     assert len(enumerate_regular(10, 4, workers=1)) == 59
-    assert calls == {"swap": 12089, "canonical": 2762}
+    assert calls == {"swap": 30327, "canonical": 1674}
 
 
 @pytest.mark.parametrize("n,r", [(10, 4), (10, 3)])
