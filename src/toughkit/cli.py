@@ -24,7 +24,8 @@ import random
 import sys
 
 from .formats import ParseError, parse_edge_list, parse_graph6, serialize_edge_list, serialize_graph6, to_dot
-from .generators import FIXTURE_BUILDERS, build_jm, cycle_power, random_connected_graph
+from .generators import (LabeledGraph, build_jm, complete, cycle, cycle_power, path, petersen,
+                         random_connected_graph, star)
 from .graphs import EnvelopeError, Graph, bits
 from .invariants import (
     connectivity,
@@ -133,30 +134,32 @@ def _emit_graph(g: Graph, fmt: str, names: list[str] | None) -> None:
         _dump_json(payload)
 
 
+# family -> (builder, the flags passed to it in order, a note on them);
+# only a LabeledGraph builder takes --labels
+_FAMILIES = {
+    "jm": (build_jm, ("m",), ""),
+    "cycle_power": (cycle_power, ("n", "k"), ""),
+    "cycle": (cycle, ("n",), ""),
+    "path": (path, ("n",), ""),
+    "complete": (complete, ("n",), ""),
+    "star": (star, ("k",), " (leaf count)"),
+    "petersen": (petersen, (), ""),
+}
+
+
 def cmd_gen(args) -> int:
+    builder, flags, note = _FAMILIES[args.family]
+    values = [getattr(args, flag) for flag in flags]
+    if None in values:
+        wanted = " and ".join(f"--{flag}" for flag in flags)
+        raise ValueError(f"gen {args.family} needs {wanted}{note}")
+    g = builder(*values)
     names = None
-    if args.family == "jm":
-        if args.m is None:
-            raise ValueError("gen jm needs --m")
-        lg = build_jm(args.m)
-        g = lg.graph
+    if isinstance(g, LabeledGraph):
         if args.labels:
-            names = lg.labeling.names()
-    elif args.family == "cycle_power":
-        if args.n is None or args.k is None:
-            raise ValueError("gen cycle_power needs --n and --k")
-        g = cycle_power(args.n, args.k)
-    elif args.family == "star":
-        if args.k is None:
-            raise ValueError("gen star needs --k (leaf count)")
-        g = FIXTURE_BUILDERS["star"](args.k)
-    elif args.family == "petersen":
-        g = FIXTURE_BUILDERS["petersen"]()
-    else:
-        if args.n is None:
-            raise ValueError(f"gen {args.family} needs --n")
-        g = FIXTURE_BUILDERS[args.family](args.n)
-    if args.labels and args.family != "jm":
+            names = g.labeling.names()
+        g = g.graph
+    elif args.labels:
         raise ValueError("--labels only applies to the jm family")
     _emit_graph(g, args.format, names)
     return OK
@@ -165,14 +168,13 @@ def cmd_gen(args) -> int:
 # ---------------------------------------------------------------------------
 # invariant
 
-def _invariant_payload(which: str, g: Graph) -> dict:
-    if which == "toughness":
-        return toughness_json(toughness(g))
-    if which == "connectivity":
-        return connectivity_json(connectivity(g))
-    if which == "independence":
-        return independence_json(*independence_number(g))
-    return stars_json(induced_stars(g, 3))
+# invariant kind -> its JSON payload for one graph
+_INVARIANTS = {
+    "toughness": lambda g: toughness_json(toughness(g)),
+    "connectivity": lambda g: connectivity_json(connectivity(g)),
+    "independence": lambda g: independence_json(*independence_number(g)),
+    "claws": lambda g: stars_json(induced_stars(g, 3)),
+}
 
 
 def _invariant_table(payload: dict) -> str:
@@ -197,7 +199,7 @@ def _invariant_table(payload: dict) -> str:
 
 def cmd_invariant(args) -> int:
     g = _load_graph(args)
-    payload = _invariant_payload(args.which, g)
+    payload = _INVARIANTS[args.which](g)
     if args.format == "table":
         sys.stdout.write(_invariant_table(payload))
     else:
@@ -349,8 +351,7 @@ def _build_parser(census_workers: int | None = None) -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="cmd", required=True)
 
     gen = subs.add_parser("gen", help="emit a generated graph")
-    gen.add_argument("family", choices=("jm", "cycle_power", "cycle", "path",
-                                        "complete", "star", "petersen"))
+    gen.add_argument("family", choices=_FAMILIES)
     gen.add_argument("--m", type=int, help="jm family parameter (m >= 3)")
     gen.add_argument("--n", type=int, help="vertex count")
     gen.add_argument("--k", type=int, help="cycle power distance / star leaves")
@@ -361,8 +362,7 @@ def _build_parser(census_workers: int | None = None) -> argparse.ArgumentParser:
     gen.set_defaults(handler=cmd_gen)
 
     inv = subs.add_parser("invariant", help="compute a certificate for one graph")
-    inv.add_argument("which", choices=("toughness", "connectivity",
-                                       "independence", "claws"))
+    inv.add_argument("which", choices=_INVARIANTS)
     _add_input(inv)
     inv.add_argument("--input-format", choices=("graph6", "edges"), default="graph6")
     inv.add_argument("--format", choices=("json", "table"), default="json")
@@ -384,10 +384,8 @@ def _build_parser(census_workers: int | None = None) -> argparse.ArgumentParser:
     cen = subs.add_parser("census", help="filter regular graphs by predicates")
     cen.add_argument("--n", type=int, required=True)
     cen.add_argument("--r", type=int, required=True)
-    cen.add_argument("--connected", action="store_true")
-    cen.add_argument("--claw-free", dest="claw_free", action="store_true")
-    cen.add_argument("--has-claw", dest="has_claw", action="store_true")
-    cen.add_argument("--supertough", action="store_true")
+    for pred in PREDICATES:
+        cen.add_argument("--" + pred.replace("_", "-"), dest=pred, action="store_true")
     _add_input(cen)
     cen.add_argument("--strict", action="store_true",
                      help="exit 3 if any stream line is rejected")

@@ -190,13 +190,3 @@ def random_connected_graph(n: int, rng: random.Random, p: float = 0.5) -> Graph:
             return g
     raise EnvelopeError(
         f"no connected G({n}, {p}) sample in {_CONNECTED_ATTEMPTS} attempts")
-
-
-# registry for the CLI `gen` families that take simple numeric knobs
-FIXTURE_BUILDERS = {
-    "cycle": cycle,
-    "path": path,
-    "complete": complete,
-    "star": star,
-    "petersen": petersen,
-}

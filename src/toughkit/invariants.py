@@ -702,13 +702,18 @@ def cutsets_of_size(g: Graph, s: int) -> list[VertexSet]:
 # ---------------------------------------------------------------------------
 # certificate JSON shapes (stable key order comes from json.dumps sort_keys)
 
+def fraction_json(value) -> dict:
+    """An exact int or Fraction as ``{"num": ..., "den": ...}``."""
+    return {"num": value.numerator, "den": value.denominator}
+
+
 def toughness_json(result) -> dict:
     if result is INFINITE:
         return {"invariant": "toughness", "value": "infinite",
                 "witness": None, "components": None}
     return {
         "invariant": "toughness",
-        "value": {"num": result.value.numerator, "den": result.value.denominator},
+        "value": fraction_json(result.value),
         "witness": list(bits(result.witness_cut)),
         "components": result.component_count,
     }
@@ -717,7 +722,7 @@ def toughness_json(result) -> dict:
 def connectivity_json(cert: ConnectivityCertificate) -> dict:
     return {
         "invariant": "connectivity",
-        "value": {"num": cert.kappa, "den": 1},
+        "value": fraction_json(cert.kappa),
         "witness": None if cert.witness_cut is None else list(bits(cert.witness_cut)),
         "components": None,
     }
@@ -726,7 +731,7 @@ def connectivity_json(cert: ConnectivityCertificate) -> dict:
 def independence_json(alpha: int, witness: VertexSet) -> dict:
     return {
         "invariant": "independence",
-        "value": {"num": alpha, "den": 1},
+        "value": fraction_json(alpha),
         "witness": list(bits(witness)),
         "components": None,
     }

@@ -50,6 +50,8 @@ from .invariants import (
 from .parallel import worker_pool
 
 CANONICAL_MAX_VERTICES = 12
+# census predicates, ordered cheap to expensive: the pipeline runs the
+# regularity stage and then the requested ones in this order
 PREDICATES = ("connected", "claw_free", "has_claw", "supertough")
 
 
@@ -298,14 +300,14 @@ def _closes_component(grown: list[int], r: int) -> bool:
 def _descend(rows: list[int], cands: list[int], trie, order: int, n: int, r: int,
              out: list) -> None:
     """Grow the canonical labeling ``rows`` depth-first to ``order`` vertices
-    and append those leaves to ``out``.  ``cands`` is ``_viable(rows, n, r)``
-    and ``trie`` is ``(verts, pars, want)`` of ``rows``; it is left as it
-    was found.  A barren child (see the module docstring) is skipped before
-    its canonicity check."""
+    and append each leaf to ``out`` with its candidates.  ``cands`` is
+    ``_viable(rows, n, r)`` (empty at order n) and ``trie`` is ``(verts,
+    pars, want)`` of ``rows``; it is left as it was found.  A barren child
+    (see the module docstring) is skipped before its canonicity check."""
     verts, pars, want = trie
     k = len(rows)
     if k == order:
-        out.append(rows)
+        out.append((rows, cands))
         return
     record = k + 1 < order  # a leaf's tied prefixes are never read
     sizes = [len(level) for level in verts]
@@ -331,12 +333,13 @@ def _descend(rows: list[int], cands: list[int], trie, order: int, n: int, r: int
                 del vs[size_d:], ps[size_d:]
 
 
-def _subtrees(task) -> list[list[int]]:
-    """The descendants of order ``order`` of each canonical parent."""
+def _subtrees(task) -> list[tuple[list[int], list[int]]]:
+    """The descendants of order ``order``, with their candidates, of each
+    canonical parent given as ``(rows, candidates)``."""
     parents, order, n, r = task
-    out: list[list[int]] = []
-    for rows in parents:
-        _descend(rows, _viable(rows, n, r), _tied_prefixes(rows, order), order, n, r, out)
+    out: list[tuple[list[int], list[int]]] = []
+    for rows, cands in parents:
+        _descend(rows, cands, _tied_prefixes(rows, order), order, n, r, out)
     return out
 
 
@@ -347,12 +350,12 @@ _GROUPS_PER_WORKER = 8
 
 
 def _enumerate(n: int, r: int, pmap, workers: int) -> list[Graph]:
-    level: list[list[int]] = [[0]]
-    while level and len(level) < _POOL_MIN_LEVEL and len(level[0]) < n:
-        level = _subtrees((level, len(level[0]) + 1, n, r))
+    level = [([0], _viable([0], n, r))]
+    while level and len(level) < _POOL_MIN_LEVEL and len(level[0][0]) < n:
+        level = _subtrees((level, len(level[0][0]) + 1, n, r))
     step = _GROUPS_PER_WORKER * workers
     tasks = [(level[i::step], n, n, r) for i in range(step)]
-    out = [Graph(n, tuple(rows)) for part in pmap(_subtrees, tasks) for rows in part]
+    out = [Graph(n, tuple(rows)) for part in pmap(_subtrees, tasks) for rows, _ in part]
     out = [g for g in out if is_connected(g)]
     return sorted(out, key=serialize_graph6)
 
@@ -437,11 +440,6 @@ class CensusResult:
         }
 
 
-# pipeline stages ordered cheap to expensive; requested predicates filter,
-# the rest are skipped
-_STAGE_ORDER = ("regular", "connected", "claw_free", "has_claw", "supertough")
-
-
 def _examine(args):
     """One graph through the predicate pipeline.
 
@@ -499,7 +497,7 @@ def run_census(spec: SearchSpec, stream=None, workers: int = 1) -> CensusResult:
     """
     _check_canonical_order(spec.n)
     res = CensusResult(spec=spec, counts={"regular": 0})
-    for p in _STAGE_ORDER[1:]:
+    for p in PREDICATES:
         if p in spec.predicates:
             res.counts[p] = 0
     graphs: list[Graph] = []

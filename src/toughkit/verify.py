@@ -25,6 +25,7 @@ from .invariants import (
     claw_centers,
     connectivity,
     cutsets_of_size,
+    fraction_json,
     independence_number,
     induced_stars,
     toughness,
@@ -201,7 +202,7 @@ def verify_theorem(m: int) -> ClaimReport:
         raise ValueError(f"theorem hypothesis needs odd m, got {m}")
     cert = _toughness(f"J_{m}")
     details = {
-        "toughness": {"num": cert.value.numerator, "den": cert.value.denominator},
+        "toughness": fraction_json(cert.value),
         "witness_cut": _vlist(cert.witness_cut),
         "components": cert.component_count,
     }
@@ -247,7 +248,7 @@ def verify_ms_consistency(label: str) -> ClaimReport:
     details = {
         "claw_free": free,
         "kappa": kappa,
-        "toughness": {"num": tough.value.numerator, "den": tough.value.denominator},
+        "toughness": fraction_json(tough.value),
         "witness_cut": _vlist(tough.witness_cut),
     }
     return _report("MS_CONSISTENCY", label, ok, details)
@@ -257,7 +258,7 @@ def verify_cycle_power_tough(label: str) -> ClaimReport:
     """C_n^2 fixtures are exactly 2-tough."""
     cert = _toughness(label)
     details = {
-        "toughness": {"num": cert.value.numerator, "den": cert.value.denominator},
+        "toughness": fraction_json(cert.value),
         "witness_cut": _vlist(cert.witness_cut),
         "components": cert.component_count,
     }
@@ -275,7 +276,7 @@ def verify_alpha_bound(label: str) -> ClaimReport:
         "n": g.n,
         "supertough": supertough,
         "alpha": alpha,
-        "bound": {"num": bound.numerator, "den": bound.denominator},
+        "bound": fraction_json(bound),
         "witness": _vlist(witness),
     }
     return _report("ALPHA_BOUND", label, supertough and alpha <= bound, details)

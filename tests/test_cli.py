@@ -14,7 +14,7 @@ from toughkit import cli
 from toughkit.cli import ENVELOPE, OK, PARSE, USAGE, VERIFY_FAIL, main
 from toughkit.cli import _build_parser, _use_color, _verdict_text
 from toughkit.formats import parse_edge_list, parse_graph6, serialize_graph6
-from toughkit.generators import build_jm, cycle, cycle_power, petersen, star
+from toughkit.generators import build_jm, complete, cycle, cycle_power, path, petersen, star
 from toughkit.parallel import usable_cpus
 from toughkit.search import canonical_form, run_census
 
@@ -76,6 +76,29 @@ def test_gen_star_leaf_count(capsys):
     assert sorted(g.degree(v) for v in range(g.n)) == [1, 1, 1, 3]
 
 
+# one call per gen family, with the flags it needs, and the library graph it prints
+GEN_FAMILIES = [
+    (("jm", "--m", "5"), build_jm(5).graph),
+    (("cycle_power", "--n", "9", "--k", "2"), cycle_power(9, 2)),
+    (("cycle", "--n", "6"), cycle(6)),
+    (("path", "--n", "5"), path(5)),
+    (("complete", "--n", "4"), complete(4)),
+    (("star", "--k", "3"), star(3)),
+    (("petersen",), petersen()),
+]
+
+
+def test_gen_families_cover_the_parser_choices():
+    subcommands = next(a for a in _build_parser(1)._actions if a.dest == "cmd")
+    family = next(a for a in subcommands.choices["gen"]._actions if a.dest == "family")
+    assert [argv[0] for argv, _ in GEN_FAMILIES] == list(family.choices)
+
+
+@pytest.mark.parametrize("argv, graph", GEN_FAMILIES, ids=[argv[0] for argv, _ in GEN_FAMILIES])
+def test_gen_prints_the_library_builder(capsys, argv, graph):
+    assert run_cli(capsys, "gen", *argv) == (OK, serialize_graph6(graph) + "\n", "")
+
+
 @pytest.mark.parametrize("argv", [
     ("gen", "jm"),                            # missing --m
     ("gen", "cycle"),                         # missing --n
@@ -96,6 +119,8 @@ def test_gen_usage_errors(capsys, argv):
     (("gen", "cycle_power", "--n", "7"), "gen cycle_power needs --n and --k"),
     (("gen", "star"), "gen star needs --k (leaf count)"),
     (("gen", "cycle"), "gen cycle needs --n"),
+    (("gen", "path"), "gen path needs --n"),
+    (("gen", "complete"), "gen complete needs --n"),
     (("gen", "cycle", "--n", "6", "--labels"), "--labels only applies to the jm family"),
     (("verify", "--claim", "THEOREM", "--m", "3..4", "--workers", "1"),
      "claim THEOREM does not apply at m=4 (check the hypothesis; --odd-only skips even m)"),
