@@ -119,8 +119,6 @@ def test_gen_usage_errors(capsys, argv):
     (("gen", "cycle_power", "--n", "7"), "gen cycle_power needs --n and --k"),
     (("gen", "star"), "gen star needs --k (leaf count)"),
     (("gen", "cycle"), "gen cycle needs --n"),
-    (("gen", "path"), "gen path needs --n"),
-    (("gen", "complete"), "gen complete needs --n"),
     (("gen", "cycle", "--n", "6", "--labels"), "--labels only applies to the jm family"),
     (("verify", "--claim", "THEOREM", "--m", "3..4", "--workers", "1"),
      "claim THEOREM does not apply at m=4 (check the hypothesis; --odd-only skips even m)"),
@@ -129,6 +127,8 @@ def test_gen_usage_errors(capsys, argv):
     (("corpus", "--seed", "1", "--min-n", "1"), "need 2 <= min-n <= max-n"),
     (("corpus", "--seed", "1", "--count", "-3"), "need count >= 0, got -3"),
     (("corpus", "--seed", "1", "--p", "0"), "need 0 < p <= 1, got 0.0"),
+    (("gen", "path"), "gen path needs --n"),
+    (("gen", "complete"), "gen complete needs --n"),
 ])
 def test_usage_errors_print_one_error_line(capsys, argv, line):
     assert run_cli(capsys, *argv) == (USAGE, "", f"error: {line}\n")
