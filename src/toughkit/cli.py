@@ -39,7 +39,7 @@ from .invariants import (
 )
 from .parallel import usable_cpus
 from .search import PREDICATES, SearchSpec, run_census
-from .verify import CLAIM_IDS, CLAIMS, ledger_json, run_ledger
+from .verify import CLAIM_IDS, ledger_json, run_ledger
 
 OK = 0
 USAGE = 2
@@ -211,23 +211,7 @@ def cmd_invariant(args) -> int:
 # verify
 
 def cmd_verify(args) -> int:
-    claims = tuple(args.claim) if args.claim else None
-    ms = args.m
-    if claims is not None and ms is not None:
-        # an explicitly requested J-family claim must hold its hypothesis at
-        # every requested m; without a claim list such combos are skipped
-        for claim in claims:
-            hypothesis = CLAIMS[claim].hypothesis
-            if hypothesis is None:
-                continue
-            for m in ms:
-                if args.odd_only and m % 2 == 0:
-                    continue
-                if not hypothesis(m):
-                    raise ValueError(
-                        f"claim {claim} does not apply at m={m} "
-                        "(check the hypothesis; --odd-only skips even m)")
-    reports = run_ledger(ms, claims, odd_only=args.odd_only, workers=args.workers)
+    reports = run_ledger(args.m, args.claim, odd_only=args.odd_only, workers=args.workers)
     if not reports:
         raise ValueError("selection matches no checks")
     if args.format == "table":

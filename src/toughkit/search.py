@@ -50,9 +50,16 @@ from .invariants import (
 from .parallel import worker_pool
 
 CANONICAL_MAX_VERTICES = 12
-# census predicates, ordered cheap to expensive: the pipeline runs the
-# regularity stage and then the requested ones in this order
-PREDICATES = ("connected", "claw_free", "has_claw", "supertough")
+# census predicates, name -> test(g, r), ordered cheap to expensive: the
+# pipeline runs the regularity stage and then the requested ones in this order
+PREDICATES = {
+    "connected": lambda g, r: is_connected(g),
+    "claw_free": lambda g, r: claw_centers(g) == 0,
+    "has_claw": lambda g, r: claw_centers(g) != 0,
+    # r-regular and not complete means toughness <= r/2, so the decision
+    # procedure suffices for equality; complete graphs sit at INFINITE
+    "supertough": lambda g, r: not g.is_complete() and is_t_tough(g, Fraction(r, 2))[0],
+}
 
 
 def _identity_cols(n: int, adj) -> list[int]:
@@ -360,14 +367,18 @@ def _enumerate(n: int, r: int, pmap, workers: int) -> list[Graph]:
     return sorted(out, key=serialize_graph6)
 
 
+def _check_degree(n: int, r: int) -> None:
+    if not 0 <= r < n:
+        raise ValueError(f"need 0 <= r < n, got r={r}, n={n}")
+    if n * r % 2:
+        raise ValueError(f"no {r}-regular graph on {n} vertices")
+
+
 def _check_regular_params(n: int, r: int) -> None:
     if n > CANONICAL_MAX_VERTICES or r > 4:
         raise EnvelopeError(
             f"enumeration capped at n <= {CANONICAL_MAX_VERTICES}, r <= 4, got ({n}, {r})")
-    if not 0 <= r < n:
-        raise ValueError(f"need 0 <= r < n, got r={r}, n={n}")
-    if n * r % 2:
-        raise ValueError(f"no {r}-regular graph on {n} vertices (odd degree sum)")
+    _check_degree(n, r)
 
 
 def enumerate_regular(n: int, r: int, workers: int = 1) -> list[Graph]:
@@ -409,10 +420,7 @@ class SearchSpec:
         if "claw_free" in preds and "has_claw" in preds:
             raise ValueError("claw_free and has_claw are mutually exclusive")
         object.__setattr__(self, "predicates", preds)
-        if not 0 <= self.r < self.n:
-            raise ValueError(f"need 0 <= r < n, got r={self.r}, n={self.n}")
-        if self.n * self.r % 2:
-            raise ValueError(f"no {self.r}-regular graph on {self.n} vertices")
+        _check_degree(self.n, self.r)
 
 
 @dataclass
@@ -445,43 +453,25 @@ def _examine(args):
 
     Returns (stage flags dict, survivor record or None, is_complete)."""
     g, spec = args
-    flags: dict[str, bool] = {}
-    flags["regular"] = all(d == spec.r for d in (g.degree(v) for v in range(g.n)))
-    ok = flags["regular"]
-    comp = g.is_complete()
-    want = spec.predicates
-    if ok and "connected" in want:
-        flags["connected"] = is_connected(g)
-        ok = flags["connected"]
-    centers = None
-    if ok and ("claw_free" in want or "has_claw" in want):
-        centers = claw_centers(g)
-        if "claw_free" in want:
-            flags["claw_free"] = centers == 0
-            ok = flags["claw_free"]
-        if ok and "has_claw" in want:
-            flags["has_claw"] = centers != 0
-            ok = flags["has_claw"]
-    if ok and "supertough" in want:
-        # r-regular and not complete means toughness <= r/2, so the decision
-        # procedure suffices for equality; complete graphs sit at INFINITE
-        target = Fraction(spec.r, 2)
-        flags["supertough"] = (not comp) and is_t_tough(g, target)[0]
-        ok = flags["supertough"]
+    ok = all(g.degree(v) == spec.r for v in range(g.n))
+    flags = {"regular": ok}
+    for name, test in PREDICATES.items():
+        if ok and name in spec.predicates:
+            ok = flags[name] = test(g, spec.r)
     record = None
     if ok:
         cert = toughness(g)
-        tj = toughness_json(cert)
-        if "supertough" in want and (cert is INFINITE or cert.value != Fraction(spec.r, 2)):
+        if "supertough" in spec.predicates and (
+                cert is INFINITE or cert.value != Fraction(spec.r, 2)):
             raise RuntimeError(
                 f"is_t_tough passed {serialize_graph6(g)} at {spec.r}/2 but toughness is {cert}")
         record = {
             "graph6": canonical_form(g),
-            "toughness": tj,
+            "toughness": toughness_json(cert),
             "connectivity": connectivity_json(connectivity(g)),
-            "has_claw": (claw_centers(g) if centers is None else centers) != 0,
+            "has_claw": PREDICATES["has_claw"](g, spec.r),
         }
-    return flags, record, comp
+    return flags, record, g.is_complete()
 
 
 def run_census(spec: SearchSpec, stream=None, workers: int = 1) -> CensusResult:
@@ -497,9 +487,7 @@ def run_census(spec: SearchSpec, stream=None, workers: int = 1) -> CensusResult:
     """
     _check_canonical_order(spec.n)
     res = CensusResult(spec=spec, counts={"regular": 0})
-    for p in PREDICATES:
-        if p in spec.predicates:
-            res.counts[p] = 0
+    res.counts.update((p, 0) for p in PREDICATES if p in spec.predicates)
     graphs: list[Graph] = []
     if spec.source == "builtin":
         if stream is not None:
@@ -530,7 +518,7 @@ def run_census(spec: SearchSpec, stream=None, workers: int = 1) -> CensusResult:
         if comp:
             res.complete_graphs += 1
         for p, passed in flags.items():
-            if p in res.counts and passed:
+            if passed:
                 res.counts[p] += 1
         if record is not None:
             res.survivors.append(record)

@@ -128,8 +128,7 @@ def verify_lemma_b(m: int) -> ClaimReport:
     m <= 7, 10 of 12 at m = 8, 10 of 14 at m = 9); by_kind["outside_claim"]
     always gives the full count.
     """
-    if m < 5:
-        raise ValueError(f"four-cut classification needs m >= 5, got {m}")
+    _check_applies("LEMMA_B", m)
     lg = _jm(m)
     tallies = {"isolates_cycle_vertex": 0, "aligned_pair": 0, "outside_claim": 0}
     bad: list[list[int]] = []
@@ -160,8 +159,7 @@ def _triangle_cover(lab) -> list[tuple[int, int, int]]:
 
 def verify_lemma_c(m: int) -> ClaimReport:
     """Independence number m-1 for odd m."""
-    if m % 2 == 0:
-        raise ValueError(f"lemma (c) hypothesis needs odd m, got {m}")
+    _check_applies("LEMMA_C", m)
     alpha, witness = independence_number(_jm(m).graph)
     details = {"alpha": alpha, "expected": m - 1, "witness": _vlist(witness)}
     return _report("LEMMA_C", m, alpha == m - 1, details)
@@ -169,8 +167,7 @@ def verify_lemma_c(m: int) -> ClaimReport:
 
 def verify_lemma_c_triangles(m: int) -> ClaimReport:
     """Dropping a_1 and b_m leaves m-1 disjoint spanning triangles (odd m)."""
-    if m % 2 == 0:
-        raise ValueError(f"lemma (c) hypothesis needs odd m, got {m}")
+    _check_applies("LEMMA_C_TRIANGLES", m)
     lg = _jm(m)
     g, lab = lg.graph, lg.labeling
     tris = _triangle_cover(lab)
@@ -198,8 +195,7 @@ def verify_lemma_c_triangles(m: int) -> ClaimReport:
 
 def verify_theorem(m: int) -> ClaimReport:
     """Toughness exactly 2 for odd m >= 3."""
-    if m % 2 == 0:
-        raise ValueError(f"theorem hypothesis needs odd m, got {m}")
+    _check_applies("THEOREM", m)
     cert = _toughness(f"J_{m}")
     details = {
         "toughness": fraction_json(cert.value),
@@ -211,8 +207,7 @@ def verify_theorem(m: int) -> ClaimReport:
 
 def verify_claw_centers(m: int) -> ClaimReport:
     """Claw centers are exactly the bridge set a_1, a_m, b_1, b_m."""
-    if m < 4:
-        raise ValueError(f"claw structure claims need m >= 4, got {m}")
+    _check_applies("CLAW_CENTERS", m)
     lg = _jm(m)
     centers = claw_centers(lg.graph)
     x = lg.labeling.x_mask()
@@ -222,8 +217,7 @@ def verify_claw_centers(m: int) -> ClaimReport:
 
 def verify_no_k14_at_x(m: int) -> ClaimReport:
     """No induced K_{1,4} is centered at a bridge vertex."""
-    if m < 4:
-        raise ValueError(f"claw structure claims need m >= 4, got {m}")
+    _check_applies("NO_K14_AT_X", m)
     lg = _jm(m)
     x = lg.labeling.x_mask()
     four_stars = induced_stars(lg.graph, 4)
@@ -289,9 +283,9 @@ class Claim(NamedTuple):
     """One ledger claim.
 
     A J-family claim checks one m per report: by default each m in
-    ``params``, and only where ``hypothesis(m)`` holds.  A fixed-graph
-    claim has ``hypothesis`` None and checks every graph label in
-    ``params``, whatever m is asked for."""
+    ``params``, and only where ``hypothesis(m)`` holds; its check raises
+    at any other m.  A fixed-graph claim has ``hypothesis`` None and checks
+    every graph label in ``params``, whatever m is asked for."""
 
     id: str
     check: Callable[[object], ClaimReport]
@@ -322,6 +316,14 @@ CLAIMS = {c.id: c for c in (
 CLAIM_IDS = tuple(CLAIMS)
 
 
+def _check_applies(claim: str, m: int) -> None:
+    """Raise unless the hypothesis of ``claim`` holds at m."""
+    hypothesis = CLAIMS[claim].hypothesis
+    if hypothesis is not None and not hypothesis(m):
+        raise ValueError(f"claim {claim} does not apply at m={m} "
+                         "(check the hypothesis; --odd-only skips even m)")
+
+
 def _run_task(task: tuple[str, object]) -> ClaimReport:
     claim, param = task
     # call through the module's name for the check, not the object the
@@ -331,11 +333,20 @@ def _run_task(task: tuple[str, object]) -> ClaimReport:
 
 
 def build_tasks(m_values=None, claims=None, odd_only: bool = False):
-    """Canonical (claim, parameter) task list for a ledger run."""
+    """Canonical (claim, parameter) task list for a ledger run.
+
+    Naming claims together with ``m_values`` raises ValueError at the first
+    named claim, in the caller's order, that does not apply at a kept m;
+    otherwise the m where a claim does not apply are skipped."""
     chosen = CLAIM_IDS if claims is None else tuple(claims)
     for c in chosen:
         if c not in CLAIMS:
             raise ValueError(f"unknown claim {c!r}")
+    if claims is not None and m_values is not None:
+        for c in chosen:
+            for m in m_values:
+                if not (odd_only and m % 2 == 0):
+                    _check_applies(c, m)
     tasks: list[tuple[str, object]] = []
     for claim in CLAIMS.values():
         if claim.id not in chosen:

@@ -129,6 +129,10 @@ def test_gen_usage_errors(capsys, argv):
     (("corpus", "--seed", "1", "--p", "0"), "need 0 < p <= 1, got 0.0"),
     (("gen", "path"), "gen path needs --n"),
     (("gen", "complete"), "gen complete needs --n"),
+    (("verify", "--claim", "THEOREM", "--claim", "LEMMA_B", "--m", "4", "--workers", "1"),
+     "claim THEOREM does not apply at m=4 (check the hypothesis; --odd-only skips even m)"),
+    (("verify", "--claim", "LEMMA_B", "--m", "3..5", "--workers", "1"),
+     "claim LEMMA_B does not apply at m=3 (check the hypothesis; --odd-only skips even m)"),
 ])
 def test_usage_errors_print_one_error_line(capsys, argv, line):
     assert run_cli(capsys, *argv) == (USAGE, "", f"error: {line}\n")

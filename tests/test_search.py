@@ -5,12 +5,13 @@ import json
 import os
 import random
 from contextlib import contextmanager
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
 import pytest
 
-from toughkit import search
+from toughkit import INFINITE, search
 from toughkit.graphs import (
     EnvelopeError,
     Graph,
@@ -46,7 +47,13 @@ from toughkit.cli import main
 from toughkit.formats import parse_graph6, serialize_graph6
 from toughkit.parallel import worker_pool
 
-from oracles import check_regular_classes, girth_naive
+from oracles import (
+    check_regular_classes,
+    girth_naive,
+    induced_stars_naive,
+    is_connected_naive,
+    toughness_oracle,
+)
 
 # outputs pinned by the benchmark (read here, written only by perfbench/pin.py)
 PINS = json.loads((Path(__file__).parents[1] / "perfbench" / "expected.json").read_text())
@@ -493,6 +500,24 @@ def test_searchspec_validation():
     spec = SearchSpec(8, 4, predicates=("supertough", "connected", "connected"))
     assert spec.predicates == ("connected", "supertough")
     assert set(spec.predicates) <= set(PREDICATES)
+
+
+def test_predicates_match_the_oracles():
+    # every connected quartic class on up to 10 vertices (K_5 is the one on
+    # five), then two disjoint triangles, a disconnected 2-regular graph
+    cases = [(g, 4) for n in range(5, 11) for g in enumerate_regular(n, 4)]
+    cases.append((from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]), 2))
+    assert len(cases) == 86 and cases[0][0] == complete(5)
+    for g, r in cases:
+        claws = len(induced_stars_naive(g, 3))
+        cert = toughness_oracle(g)
+        want = {
+            "connected": is_connected_naive(g),
+            "claw_free": claws == 0,
+            "has_claw": claws > 0,
+            "supertough": cert is not INFINITE and cert.value == Fraction(r, 2),
+        }
+        assert {name: test(g, r) for name, test in PREDICATES.items()} == want, g
 
 
 def test_census_source_and_stream_must_agree():

@@ -72,7 +72,7 @@ def test_lemma_a_fails_on_doctored_graph(monkeypatch):
 # four-cut classification: FAILs honestly for every m >= 5
 
 def test_lemma_b_hypothesis_guard():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not apply at m="):
         verify_lemma_b(4)
 
 
@@ -141,9 +141,9 @@ def test_lemma_b_counterexamples_revalidate():
 # independence claim and its triangle device
 
 def test_lemma_c_hypothesis_guard():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not apply at m="):
         verify_lemma_c(4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not apply at m="):
         verify_lemma_c_triangles(4)
 
 
@@ -170,7 +170,7 @@ def test_lemma_c_passes(m):
 # toughness claim
 
 def test_theorem_hypothesis_guard():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not apply at m="):
         verify_theorem(6)
 
 
@@ -197,9 +197,9 @@ def test_theorem_fails_on_doctored_value(monkeypatch):
 # claw structure claims
 
 def test_claw_structure_hypothesis_guard():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not apply at m="):
         verify_claw_centers(3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not apply at m="):
         verify_no_k14_at_x(3)
 
 
@@ -296,7 +296,11 @@ def test_build_tasks_selection_and_parity():
     assert build_tasks(range(3, 8), ["LEMMA_A"], odd_only=True) == [
         ("LEMMA_A", 3), ("LEMMA_A", 5), ("LEMMA_A", 7),
     ]
-    assert build_tasks([4], ["LEMMA_B"]) == []  # hypothesis excludes m=4
+    # a named claim must apply at every m asked for; unnamed, it is skipped
+    with pytest.raises(ValueError, match=r"^claim LEMMA_B does not apply at m=4 \("):
+        build_tasks([4], ["LEMMA_B"])
+    assert ("LEMMA_B", 4) not in build_tasks([4])
+    assert [r.parameter for r in run_ledger(claims=["LEMMA_B"])] == list(range(5, 10))
     assert build_tasks([3], ["CYCLE_POWER_TOUGH"]) == [
         ("CYCLE_POWER_TOUGH", "C_8^2"), ("CYCLE_POWER_TOUGH", "C_10^2"),
     ]
