@@ -5,15 +5,15 @@ Toughness of a connected non-complete graph is min |S| / c(G - S) over all
 cut-sets S, computed here with exact rationals throughout.  A complete graph
 has no cut-set, and its toughness is INFINITE, which is ``math.inf``.  The
 optimized solver finds the value either by a frontier DP with Dinkelbach
-iteration or by a subset sweep pruned by connectivity, independence number
-and a running best, whichever its work estimate says is cheaper for the
-input.  At each size the sweep tries every subset, or only the sets that a
-forcing lemma allows around an independent set of component
-representatives, whichever is fewer.  Either path ranks cut-sets by ratio
-and then by bitmask, so the pass that proves the value also holds the
-witness.  The test suite's oracle walks every subset with none of that and
-gates the solver.  Both report the same witness: the minimizing cut-set
-with the smallest bitmask value (ties beyond that cannot occur).
+iteration or by a subset sweep pruned by independence number and a running
+best, whichever its work estimate says is cheaper for the input.  At each
+size the sweep tries the sets that a forcing lemma allows around an
+independent set of component representatives, or else the sets grown
+around a smallest component.  Either path ranks cut-sets by ratio and then
+by bitmask, so the pass that proves the value also holds the witness.  The
+test suite's oracle walks every subset with none of that and gates the
+solver.  Both report the same witness: the minimizing cut-set with the
+smallest bitmask value (ties beyond that cannot occur).
 """
 
 from __future__ import annotations
@@ -104,19 +104,15 @@ def _count_components(alive: int, tables: list[list[int]]) -> int:
     return cnt
 
 
-def _cuts(tables: list[list[int]], n: int, s: int, reps=None):
+def _cuts(tables: list[list[int]], n: int, s: int, reps):
     """(S, k) for size-s cut-sets S leaving k >= 2 components.
 
-    Each (F, |F|, free) entry of ``reps`` tries F plus every
-    (s - |F|)-subset of ``free``.  Plain, the one entry (0, 0, every
-    vertex) tries every size-s set once.  With ``reps`` from
-    ``_representatives`` the sets come in no set order and possibly more
-    than once; by the forcing lemma they still cover every size-s cut-set
-    leaving at least |I| components.
+    Each (F, |F|, free) entry of ``reps`` (from ``_representatives``) tries
+    F plus every (s - |F|)-subset of ``free``.  The sets come in no set
+    order and possibly more than once; by the forcing lemma they still
+    cover every size-s cut-set leaving at least |I| components.
     """
     full = (1 << n) - 1
-    if reps is None:
-        reps = [(0, 0, tuple(1 << v for v in range(n)))]
     for forced, nf, free in reps:
         if nf <= s:
             for combo in combinations(free, s - nf):
@@ -154,21 +150,23 @@ def _representatives(adj: tuple[int, ...], n: int, k: int) -> list[tuple[int, in
 
 
 def _size_cuts(g: Graph, tables: list[list[int]], s: int, k: int, reps: dict):
-    """``_cuts`` of size s from whichever source tries fewer sets, covering
-    every size-s cut-set that leaves at least k components.
+    """(S, k) for size-s cut-sets S, covering every one leaving >= k components.
 
-    The independent k-sets are listed, once per k into ``reps``, only when
-    C(n, k) <= C(n, s), so listing them never costs more than the plain walk.
+    ``_cuts`` runs when its sets are fewer than C(n, s), else ``_grown_cuts``,
+    whose sets are counted here.  The independent k-sets are listed, once
+    per k into ``reps``, only when C(n, k) <= C(n, s).
     """
     n = g.n
-    plain = comb(n, s)
-    if comb(n, k) <= plain:
+    subsets = comb(n, s)
+    if comb(n, k) <= subsets:
         if k not in reps:
             reps[k] = _representatives(g.adj, n, k)
         work = sum(comb(len(free), s - nf) for _, nf, free in reps[k] if nf <= s)
-        if work < plain:
+        if work < subsets:
             return _cuts(tables, n, s, reps[k])
-    return _cuts(tables, n, s)
+    full = g.full_mask
+    return ((x, c) for x in _grown_cuts(g, s, k)
+            if (c := _count_components(full & ~x, tables)) >= k)
 
 
 def _beats(s: int, k: int, x: int, best: tuple[int, int, int]) -> bool:
@@ -193,12 +191,11 @@ def toughness(g: Graph):
     if g.is_complete():
         return INFINITE
     alpha, _ = independence_number(g)
-    kappa = connectivity(g).kappa
     seed = _isolation_seed(g)
-    steps = _dp_steps(g, max(1, kappa), alpha, seed[0], seed[1], ties=True)
+    steps = _dp_steps(g, alpha, seed[0], seed[1], ties=True)
     found = None if steps is None else _dinkelbach(steps, seed[0], seed[1])
     if found is None:
-        found = _sweep_value(g, kappa, alpha, seed)
+        found = _sweep_value(g, alpha, seed)
     s, k, witness = found
     return ToughnessCertificate(Fraction(s, k), witness, k)
 
@@ -219,36 +216,35 @@ def _isolation_seed(g: Graph) -> tuple[int, int, int]:
     return best
 
 
-def _sweep_sizes(n: int, start: int, alpha: int, p: int, q: int, *, ties: bool = False):
-    """Cut-set sizes from ``start`` up that could still beat the ratio p/q.
+def _sweep_sizes(n: int, alpha: int, p: int, q: int, *, ties: bool = False):
+    """Cut-set sizes from 1 up that could still beat the ratio p/q.
 
     Removing s vertices leaves at most min(n - s, alpha) components (one
     independent vertex per component), so once s / that cap reaches p/q no
     larger size can do better.  With ``ties`` the size where the cap only
     ties p/q is yielded too, as ``_sweep_value`` scans it.
     """
-    for s in range(start, n - 1):
+    for s in range(1, n - 1):
         kcap = min(n - s, alpha)
         if kcap < 2 or s * q > p * kcap or (s * q == p * kcap and not ties):
             return
         yield s
 
 
-def _sweep_value(g: Graph, kappa: int, alpha: int,
-                 best: tuple[int, int, int]) -> tuple[int, int, int]:
+def _sweep_value(g: Graph, alpha: int, best: tuple[int, int, int]) -> tuple[int, int, int]:
     """Size-major sweep for the first cut-set in (ratio, mask) order.
 
-    Cut-sets are at least kappa large.  A size-s cut-set leaves at most
-    min(n - s, alpha) components, so the sweep stops at the first size
-    where even that ratio is worse than the running best; the size where
-    it only ties is still scanned, for a smaller optimal mask.  At size s
-    only cut-sets leaving at least ceil(s * best_k / best_s) components can
-    beat or tie the best, which is the k ``_size_cuts`` walks for.
+    A size-s cut-set leaves at most min(n - s, alpha) components, so the
+    sweep stops at the first size where even that ratio is worse than the
+    running best; the size where it only ties is still scanned, for a
+    smaller optimal mask.  At size s only cut-sets leaving at least
+    ceil(s * best_k / best_s) components can beat or tie the best, which is
+    the k ``_size_cuts`` walks for.
     """
     n = g.n
     tables = _union_tables(g.adj, n)
     reps: dict = {}
-    for s in range(max(1, kappa), n - 1):
+    for s in range(1, n - 1):
         kcap = min(n - s, alpha)
         if kcap < 2 or s * best[1] > best[0] * kcap:
             break
@@ -325,19 +321,19 @@ def _bell_numbers(top: int) -> list[int]:
     return out
 
 
-def _dp_steps(g: Graph, start: int, alpha: int, p: int, q: int, *,
-              ties: bool = False) -> list[tuple] | None:
+def _dp_steps(g: Graph, alpha: int, p: int, q: int, *, ties: bool = False) -> list[tuple] | None:
     """Frontier-DP steps when the DP is estimated cheaper than the sweep.
 
-    The sweep's work is the number of subsets of the sizes ``_sweep_sizes``
-    allows at ratio p/q; the DP's is at most 3 * Bell(w + 1) states per step
-    of frontier width w.  None means the sweep should run.  ``toughness``
-    passes ``ties``, because its sweep also scans the size whose cap only
-    ties p/q, for a smaller optimal mask; on a sparse graph with a cut
-    vertex that is the largest size it scans.  ``is_t_tough`` does not: a
-    violation is strict, so its sweep stops before that size.
+    The sweep's work is taken as C(n, s) for each size s that
+    ``_sweep_sizes`` allows at ratio p/q, an upper bound: neither of its
+    walks tries every subset.  The DP's is at most 3 * Bell(w + 1) states
+    per step of frontier width w.  None means the sweep should run.
+    ``toughness`` passes ``ties``, because its sweep also scans the size
+    whose cap only ties p/q, for a smaller optimal mask; on a sparse graph
+    with a cut vertex that is the largest size it scans.  ``is_t_tough``
+    does not: a violation is strict, so its sweep stops before that size.
     """
-    sweep = sum(comb(g.n, s) for s in _sweep_sizes(g.n, start, alpha, p, q, ties=ties))
+    sweep = sum(comb(g.n, s) for s in _sweep_sizes(g.n, alpha, p, q, ties=ties))
     if sweep < _DP_MIN_SWEEP_WORK:
         return None
     steps, widths = _frontier_plan(g)
@@ -462,14 +458,14 @@ def is_t_tough(g: Graph, t) -> tuple[bool, VertexSet | None]:
     p, q = t.numerator, t.denominator
     n, adj = g.n, g.adj
     alpha, _ = independence_number(g)
-    steps = _dp_steps(g, 1, alpha, p, q)
+    steps = _dp_steps(g, alpha, p, q)
     if steps is not None:
         found = _frontier_dp(steps, p, q)
         if found is not None and found[0] >= 0:
             return True, None
     tables = _union_tables(adj, n)
     reps: dict = {}
-    for s in _sweep_sizes(n, 1, alpha, p, q):
+    for s in _sweep_sizes(n, alpha, p, q):
         # a size-s cut-set violates iff it leaves more than s * q / p components
         cuts = _size_cuts(g, tables, s, max(2, s * q // p + 1), reps)
         witness = min((x for x, k in cuts if s * q < p * k), default=None)
@@ -637,29 +633,33 @@ def cutsets_of_size(g: Graph, s: int) -> list[VertexSet]:
 
     Masks come back in ascending order.  Empty when s > n - 2 (fewer
     than two vertices would remain).
-
-    The sets are built from components; no component is ever counted.  A
-    size-s cut-set S has a smallest component C in G - S: C is connected,
-    has at most floor((n - s) / 2) vertices, and its neighbourhood N(C) lies
-    in S.  So S is N(C) plus s - |N(C)| vertices from outside C and N(C).
-    Conversely every such set is a cut-set: C is a whole component of
-    G - S, and at least one vertex is left outside C and S.  Each connected
-    C is grown once from its least vertex u, branching on its lowest
-    undecided neighbour, which either joins C (while C is under the size
-    cap) or the boundary X (while X has at most s vertices); neighbours
-    below u can only go to X.  A branch stops once X would pass s even if
-    C took as many undecided neighbours as its cap allows.  A C whose
-    neighbours are all decided has N(C) = X, and yields X with every
-    completion.  A cut-set with several small components comes out once
-    per such component, so the sets are deduplicated.
     """
     if s < 1:
         raise ValueError(f"cut-set size must be positive, got {s}")
-    n, adj = g.n, g.adj
-    if s > n - 2:
-        return []
-    full = (1 << n) - 1
-    cap = (n - s) // 2
+    return sorted(_grown_cuts(g, s, 2)) if s <= g.n - 2 else []
+
+
+def _grown_cuts(g: Graph, s: int, k: int) -> set[VertexSet]:
+    """Size-s cut-sets (1 <= s <= n - 2), covering every one that leaves at
+    least k components.
+
+    The sets are built from components; no component is ever counted.  A
+    size-s cut-set S leaving at least k components has a smallest component
+    C in G - S: C is connected, has at most floor((n - s) / k) vertices, and
+    its neighbourhood N(C) lies in S.  So S is N(C) plus s - |N(C)| vertices
+    from outside C and N(C).  Conversely every such set is a cut-set: C is a
+    whole component of G - S, and at least one vertex is left outside C and
+    S.  Each connected C is grown once from its least vertex u, branching on
+    its lowest undecided neighbour, which either joins C (while C is under
+    the size cap) or the boundary X (while X has at most s vertices);
+    neighbours below u can only go to X.  A branch stops once X would pass s
+    even if C took as many undecided neighbours as its cap allows.  A C
+    whose neighbours are all decided has N(C) = X, and yields X with every
+    completion.  A cut-set with several small components comes out once per
+    such component, so the sets are deduplicated.
+    """
+    n, adj, full = g.n, g.adj, g.full_mask
+    cap = (n - s) // k
     found: set[int] = set()
 
     def close(comp: int, bound: int) -> None:
@@ -675,7 +675,7 @@ def cutsets_of_size(g: Graph, s: int) -> list[VertexSet]:
         if not front:
             close(comp, bound)
             return
-        if size == cap:
+        if size >= cap:
             bound |= front
             if bound.bit_count() <= s:
                 close(comp, bound)
@@ -696,7 +696,7 @@ def cutsets_of_size(g: Graph, s: int) -> list[VertexSet]:
         bound = adj[u] & below
         if bound.bit_count() <= s:
             grow(1 << u, 1, bound, adj[u] & ~below, below)
-    return sorted(found)
+    return found
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ from toughkit import (
     mask_of,
 )
 from toughkit.generators import complete, cycle, line_graph, petersen, star
-from toughkit.invariants import _cuts, _union_tables, stars_json
+from toughkit.invariants import _count_components, _union_tables, stars_json
 
 from oracles import cutsets_naive, induced_stars_naive
 
@@ -133,7 +134,9 @@ def test_jm_cutsets_match_plain_walk(m):
     g = build_jm(m).graph
     tables = _union_tables(g.adj, g.n)
     for s in (4, 5, 6):
-        assert cutsets_of_size(g, s) == sorted(x for x, _ in _cuts(tables, g.n, s)), s
+        subsets = (mask_of(c) for c in combinations(range(g.n), s))
+        want = sorted(x for x in subsets if _count_components(g.full_mask & ~x, tables) >= 2)
+        assert cutsets_of_size(g, s) == want, s
 
 
 def test_cutsets_are_ascending_masks():

@@ -3,7 +3,6 @@ import io
 import json
 import sys
 from fractions import Fraction
-from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -38,6 +37,7 @@ from toughkit.invariants import (
     _dp_steps,
     _frontier_dp,
     _frontier_plan,
+    _grown_cuts,
     _isolation_seed,
     _representatives,
     _size_cuts,
@@ -243,8 +243,7 @@ def _dp_value(g):
 def _dp_chosen(g):
     """Whether toughness() takes the DP path for g (its cost rule)."""
     alpha, _ = independence_number(g)
-    return _dp_steps(g, max(1, connectivity(g).kappa), alpha,
-                     *_isolation_seed(g)[:2], ties=True) is not None
+    return _dp_steps(g, alpha, *_isolation_seed(g)[:2], ties=True) is not None
 
 
 def test_dp_value_matches_oracle_on_randoms(rng):
@@ -267,7 +266,7 @@ def test_dp_matches_sweep_beyond_the_oracle_range(rng):
         g = random_connected_graph(rng.randrange(14, 21), rng, p=rng.choice([0.1, 0.15, 0.2]))
         seed = _isolation_seed(g)
         steps, _ = _frontier_plan(g)
-        swept = _sweep_value(g, connectivity(g).kappa, independence_number(g)[0], seed)
+        swept = _sweep_value(g, independence_number(g)[0], seed)
         assert _dinkelbach(steps, *seed[:2]) == swept, g.edges()
 
 
@@ -317,18 +316,17 @@ def test_cost_rule_sends_jm7_to_dp_and_dense_randoms_to_sweep(rng):
 def test_toughness_sweep_estimate_counts_the_tie_size(monkeypatch):
     # toughness's sweep also scans the size whose cap only ties the seed
     # ratio; is_t_tough's stops before it, since a violation is strict
-    assert list(_sweep_sizes(20, 1, 10, 1, 2, ties=True)) == [1, 2, 3, 4, 5]
-    assert list(_sweep_sizes(20, 1, 10, 1, 2)) == [1, 2, 3, 4]
+    assert list(_sweep_sizes(20, 10, 1, 2, ties=True)) == [1, 2, 3, 4, 5]
+    assert list(_sweep_sizes(20, 10, 1, 2)) == [1, 2, 3, 4]
     # n = 20, kappa = 1, alpha = 10: the seed ratio is 1/2 and the tie size
     # 5 is most of the sweep, which the DP undercuts
     g = parse_graph6("S?SC?GRcXPOhAAOgKC??_gACGW_@_A???")
     alpha, _ = independence_number(g)
-    kappa = connectivity(g).kappa
     seed = _isolation_seed(g)
-    assert (g.n, kappa, alpha, seed[:2]) == (20, 1, 10, (1, 2))
+    assert (g.n, connectivity(g).kappa, alpha, seed[:2]) == (20, 1, 10, (1, 2))
     assert _dp_chosen(g)
-    assert _dp_steps(g, kappa, alpha, *seed[:2]) is None
-    swept = _sweep_value(g, kappa, alpha, seed)
+    assert _dp_steps(g, alpha, *seed[:2]) is None
+    swept = _sweep_value(g, alpha, seed)
 
     def no_sweep(*args):
         raise AssertionError("toughness swept a graph its cost rule sends to the DP")
@@ -386,22 +384,12 @@ def test_is_t_tough_dp_path_keeps_sweep_witness():
 # ---------------------------------------------------------------------------
 # the sweep's representative walk and the "no" path
 
-@pytest.mark.parametrize("s", range(1, 9))
-def test_plain_walk_yields_every_subset_once(s):
-    # on the edgeless graph every s-set with s <= n - 2 is a cut-set leaving
-    # n - s components, so the plain walk must yield all C(n, s) of them,
-    # each once; that is the count _size_cuts charges the plain walk
-    n = 10
-    g = from_edges(n, [])
-    walked = sorted(_cuts(_union_tables(g.adj, n), n, s))
-    want = sorted(mask_of(c) for c in combinations(range(n), s))
-    assert walked == [(x, n - s) for x in want]
-
-
 def test_forcing_lemma_walk_covers_every_separating_set(rng):
     # every s-set leaving >= k components contains F(I) for the least
     # vertices I of its first k components, so the walk over the F(I)
-    # supersets (and the per-size choice of source) must yield it
+    # supersets (and the per-size choice of source) must yield it; it also
+    # has a component of at most (n - s) // k vertices, so the growth walk
+    # with that cap must yield it too, and nothing that is not a cut-set
     for _ in range(100):
         n = rng.randrange(5, 13)
         g = random_connected_graph(n, rng, p=rng.choice([0.2, 0.35, 0.5, 0.7]))
@@ -413,8 +401,11 @@ def test_forcing_lemma_walk_covers_every_separating_set(rng):
                 want = {mask_of(c) for c in cutsets_naive(g, s, k)}
                 walked = {x for x, _ in _cuts(tables, n, s, reps)}
                 chosen = {x for x, _ in _size_cuts(g, tables, s, k, chosen_reps)}
+                grown = _grown_cuts(g, s, k)
                 assert want <= walked, (g.edges(), s, k, want - walked)
                 assert want <= chosen, (g.edges(), s, k, want - chosen)
+                assert want <= grown, (g.edges(), s, k, want - grown)
+                assert all(len(components(g, x)) >= 2 for x in grown), (g.edges(), s, k)
 
 
 def test_is_t_tough_matches_first_violation_oracle(rng):
