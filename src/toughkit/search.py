@@ -43,6 +43,7 @@ from .invariants import (
     claw_centers,
     connectivity,
     connectivity_json,
+    independence_number,
     is_t_tough,
     toughness,
     toughness_json,
@@ -57,8 +58,13 @@ PREDICATES = {
     "claw_free": lambda g, r: claw_centers(g) == 0,
     "has_claw": lambda g, r: claw_centers(g) != 0,
     # r-regular and not complete means toughness <= r/2, so the decision
-    # procedure suffices for equality; complete graphs sit at INFINITE
-    "supertough": lambda g, r: not g.is_complete() and is_t_tough(g, Fraction(r, 2))[0],
+    # procedure suffices for equality; complete graphs sit at INFINITE.  It
+    # is skipped when alpha(r + 2) > 2n: for a maximum independent set I of
+    # a non-complete graph, alpha >= 2 and V - I is a cut-set leaving alpha
+    # isolated vertices, so toughness <= (n - alpha)/alpha < r/2
+    "supertough": lambda g, r: (not g.is_complete()
+                                and 2 * g.n >= independence_number(g)[0] * (r + 2)
+                                and is_t_tough(g, Fraction(r, 2))[0]),
 }
 
 

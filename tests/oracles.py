@@ -92,6 +92,12 @@ def connectivity_witness_naive(g: Graph) -> tuple[int, int]:
     return len(witness), sum(1 << u for u in witness)
 
 
+def is_independent_naive(g: Graph, vertices) -> bool:
+    nbrs = adj_sets(g)
+    vs = set(vertices)
+    return all(not (nbrs[v] & vs) for v in vs)
+
+
 def independence_naive(g: Graph) -> int:
     nbrs = adj_sets(g)
     best = 0

@@ -15,6 +15,7 @@ from toughkit import INFINITE, search
 from toughkit.graphs import (
     EnvelopeError,
     Graph,
+    bits,
     complement,
     components,
     from_edges,
@@ -31,6 +32,7 @@ from toughkit.generators import (
     petersen,
     random_connected_graph,
 )
+from toughkit.invariants import independence_number
 from toughkit.search import (
     CANONICAL_MAX_VERTICES,
     PREDICATES,
@@ -49,9 +51,11 @@ from toughkit.parallel import worker_pool
 
 from oracles import (
     check_regular_classes,
+    components_naive,
     girth_naive,
     induced_stars_naive,
     is_connected_naive,
+    is_independent_naive,
     toughness_oracle,
 )
 
@@ -504,10 +508,13 @@ def test_searchspec_validation():
 
 def test_predicates_match_the_oracles():
     # every connected quartic class on up to 10 vertices (K_5 is the one on
-    # five), then two disjoint triangles, a disconnected 2-regular graph
+    # five), then two disjoint triangles, a disconnected 2-regular graph,
+    # then the connected cubic classes on 6, 8 and 10 vertices (one
+    # supertough class on 6, none on 8 or 10)
     cases = [(g, 4) for n in range(5, 11) for g in enumerate_regular(n, 4)]
     cases.append((from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]), 2))
-    assert len(cases) == 86 and cases[0][0] == complete(5)
+    cases += [(g, 3) for n in (6, 8, 10) for g in enumerate_regular(n, 3)]
+    assert len(cases) == 112 and cases[0][0] == complete(5)
     for g, r in cases:
         claws = len(induced_stars_naive(g, 3))
         cert = toughness_oracle(g)
@@ -518,6 +525,32 @@ def test_predicates_match_the_oracles():
             "supertough": cert is not INFINITE and cert.value == Fraction(r, 2),
         }
         assert {name: test(g, r) for name, test in PREDICATES.items()} == want, g
+
+
+@pytest.mark.parametrize("n, r, rejected, classes",
+                         [(10, 4, 32, 59), (11, 4, 250, 265), (12, 3, 78, 85)])
+def test_supertough_alpha_rejections_carry_a_cut(monkeypatch, n, r, rejected, classes):
+    # a class the supertough predicate turns down without calling is_t_tough
+    # must have a maximum independent set I whose cut V - I leaves |I|
+    # components, |I| > 2n/(r + 2) of them, so its toughness is below r/2
+    calls = []
+    decide = search.is_t_tough
+    monkeypatch.setattr(search, "is_t_tough", lambda g, t: calls.append(g) or decide(g, t))
+    graphs = enumerate_regular(n, r, workers=2)
+    assert len(graphs) == classes
+    skipped = []
+    for g in graphs:
+        before = len(calls)
+        if not PREDICATES["supertough"](g, r) and len(calls) == before:
+            skipped.append(g)
+    assert len(skipped) == rejected
+    for g in skipped:
+        alpha, witness = independence_number(g)
+        indep = set(bits(witness))
+        cut = frozenset(range(n)) - indep
+        assert len(indep) == alpha and is_independent_naive(g, indep), g
+        assert len(components_naive(g, cut)) == len(indep), g
+        assert Fraction(n - len(indep), len(indep)) < Fraction(r, 2), g
 
 
 def test_census_source_and_stream_must_agree():
