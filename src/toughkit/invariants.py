@@ -191,18 +191,18 @@ def toughness(g: Graph):
     if g.is_complete():
         return INFINITE
     alpha, _ = independence_number(g)
-    seed = _isolation_seed(g)
+    tables = _union_tables(g.adj, g.n)
+    seed = _isolation_seed(g, tables)
     steps = _dp_steps(g, alpha, seed[0], seed[1], ties=True)
     found = None if steps is None else _dinkelbach(steps, seed[0], seed[1])
     if found is None:
-        found = _sweep_value(g, alpha, seed)
+        found = _sweep_value(g, tables, alpha, seed)
     s, k, witness = found
     return ToughnessCertificate(Fraction(s, k), witness, k)
 
 
-def _isolation_seed(g: Graph) -> tuple[int, int, int]:
+def _isolation_seed(g: Graph, tables: list[list[int]]) -> tuple[int, int, int]:
     """Warm-start (|S|, k, S): the first isolating cut N(v) by ratio, then mask."""
-    tables = _union_tables(g.adj, g.n)
     full = g.full_mask
     best = None
     for v in range(g.n):
@@ -231,7 +231,8 @@ def _sweep_sizes(n: int, alpha: int, p: int, q: int, *, ties: bool = False):
         yield s
 
 
-def _sweep_value(g: Graph, alpha: int, best: tuple[int, int, int]) -> tuple[int, int, int]:
+def _sweep_value(g: Graph, tables: list[list[int]], alpha: int,
+                 best: tuple[int, int, int]) -> tuple[int, int, int]:
     """Size-major sweep for the first cut-set in (ratio, mask) order.
 
     A size-s cut-set leaves at most min(n - s, alpha) components, so the
@@ -242,7 +243,6 @@ def _sweep_value(g: Graph, alpha: int, best: tuple[int, int, int]) -> tuple[int,
     the k ``_size_cuts`` walks for.
     """
     n = g.n
-    tables = _union_tables(g.adj, n)
     reps: dict = {}
     for s in range(1, n - 1):
         kcap = min(n - s, alpha)
@@ -289,17 +289,11 @@ def _frontier_plan(g: Graph) -> tuple[list[tuple], list[int]]:
     front: list[int] = []
     steps, widths = [], []
     for _ in range(n):
-        front_mask = mask_of(front)
-        best = None
-        for v in range(n):
-            if placed >> v & 1:
-                continue
-            after = placed | 1 << v
-            done = sum(1 for u in bits(front_mask & adj[v] | 1 << v) if not adj[u] & ~after)
-            key = (len(front) + 1 - done, -(adj[v] & placed).bit_count(), v)
-            if best is None or key < best:
-                best = key
-        v = best[2]
+        # placing v closes its neighbours in ``single`` (frontier vertices with
+        # one unplaced neighbour), and v itself when it has no unplaced one
+        single = mask_of(u for u in front if not (r := adj[u] & ~placed) & (r - 1))
+        v = min((len(front) + 1 - (single & adj[v]).bit_count() - (not adj[v] & ~placed),
+                 -(adj[v] & placed).bit_count(), v) for v in bits(g.full_mask & ~placed))[2]
         placed |= 1 << v
         grown = front + [v]
         keep = tuple(i for i, u in enumerate(grown) if adj[u] & ~placed)
@@ -483,9 +477,10 @@ def connectivity(g: Graph) -> ConnectivityCertificate:
     Complete graphs get kappa = n-1 and a None witness.  Otherwise kappa is
     the minimum flow over Even's pair family: the lowest-id minimum-degree
     vertex v against its non-neighbors in ascending order, then the
-    non-adjacent pairs of N(v) in ``combinations`` order.  The witness
-    belongs to the first pair (s, t) with that flow: it is the minimum s-t
-    separator nearest s, the one whose component holding s is smallest.
+    non-adjacent pairs of N(v) in ``combinations`` order, each flow after the
+    first capped at the best so far.  The witness belongs to the first pair
+    (s, t) with that flow: it is the minimum s-t separator nearest s, the
+    one whose component holding s is smallest.
     """
     n = g.n
     if len(components(g)) > 1:
@@ -500,14 +495,16 @@ def connectivity(g: Graph) -> ConnectivityCertificate:
     )
     best = None
     for s, t in pairs:
-        found = _disjoint_paths(g.adj, s, t)
+        found = _disjoint_paths(g.adj, s, t, None if best is None else best[0])
         if best is None or found[0] < best[0]:
             best = found
     return ConnectivityCertificate(*best)
 
 
-def _disjoint_paths(adj: tuple[VertexSet, ...], s: int, t: int) -> tuple[int, VertexSet]:
-    """Most internally disjoint s-t paths, and the minimum separator nearest s.
+def _disjoint_paths(adj: tuple[VertexSet, ...], s: int, t: int,
+                    cap: int | None) -> tuple[int, VertexSet | None]:
+    """Most internally disjoint s-t paths, and the minimum separator nearest s;
+    (cap, None) once ``cap`` paths are found (None: no cap).
 
     Augmenting paths on the vertex-split graph, which is never built: v's
     entry leads to its exit with room for one path, and an edge from an exit
@@ -521,7 +518,7 @@ def _disjoint_paths(adj: tuple[VertexSet, ...], s: int, t: int) -> tuple[int, Ve
     """
     pred: dict[int, int] = {}
     flow = 0
-    while True:
+    while flow != cap:
         entered: dict[int, int] = {}  # entry -> the exit it was reached from
         left = {s: s}  # exit -> the entry it was reached through
         seen = 0  # entries reached, as a mask
@@ -554,6 +551,7 @@ def _disjoint_paths(adj: tuple[VertexSet, ...], s: int, t: int) -> tuple[int, Ve
             else:
                 pred[u] = x
         flow += 1
+    return flow, None
 
 
 # ---------------------------------------------------------------------------
@@ -598,11 +596,20 @@ def independence_number(g: Graph) -> tuple[int, VertexSet]:
 # induced stars and claw structure
 
 def _star_leaves(g: Graph, center: int, k: int):
-    """Masks of the independent k-subsets of N(center), in combination order."""
-    for combo in combinations(bits(g.adj[center]), k):
-        cm = mask_of(combo)
-        if all(g.adj[u] & cm == 0 for u in combo):
-            yield cm
+    """Masks of the independent k-subsets of N(center), in combination order:
+    take the lowest candidate, recurse on its non-neighbours above it."""
+    adj = g.adj
+
+    def grow(cand: int, chosen: int, left: int):
+        while cand.bit_count() >= left:
+            low = cand & -cand
+            cand ^= low
+            if left == 1:
+                yield chosen | low
+            else:
+                yield from grow(cand & ~adj[low.bit_length() - 1], chosen | low, left - 1)
+
+    return grow(adj[center], 0, k)
 
 
 def induced_stars(g: Graph, k: int) -> list[StarInstance]:

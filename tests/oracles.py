@@ -159,6 +159,36 @@ def induced_stars_naive(g: Graph, k: int) -> list[tuple[int, frozenset]]:
     return out
 
 
+def frontier_plan_naive(g: Graph) -> tuple[list[tuple], list[int]]:
+    """The frontier DP's greedy vertex order, as (steps, widths).
+
+    Each step places the unplaced vertex after which the fewest placed
+    vertices still have an unplaced neighbour, recounted for every
+    candidate; ties go to the most placed neighbours, then the lowest id.
+    A step is (positions in the frontier of the new vertex's neighbours,
+    positions of the frontier plus the new vertex that stay in it, the new
+    vertex's bit); the width is the frontier size after the step.
+    """
+    nbrs = adj_sets(g)
+    placed: set[int] = set()
+    front: list[int] = []
+    steps, widths = [], []
+    for _ in range(g.n):
+        def key(v):
+            after = placed | {v}
+            width = sum(1 for u in front + [v] if nbrs[u] - after)
+            return width, -len(nbrs[v] & placed), v
+
+        v = min((u for u in range(g.n) if u not in placed), key=key)
+        placed.add(v)
+        grown = front + [v]
+        keep = tuple(i for i, u in enumerate(grown) if nbrs[u] - placed)
+        steps.append((tuple(i for i, u in enumerate(front) if u in nbrs[v]), keep, 1 << v))
+        front = [grown[i] for i in keep]
+        widths.append(len(front))
+    return steps, widths
+
+
 def cutsets_naive(g: Graph, s: int, k: int = 2) -> set[frozenset]:
     """Every s-set whose removal leaves at least k components."""
     out = set()

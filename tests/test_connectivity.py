@@ -72,6 +72,23 @@ def test_witness_matches_naive_oracle(rng):
         assert (cert.kappa, cert.witness_cut) == connectivity_witness_naive(g), g.edges()
 
 
+def test_kappa_matches_networkx(rng):
+    # past the brute-force witness oracle's n <= 10: kappa against networkx,
+    # and the witness is a separator of kappa vertices
+    nx = pytest.importorskip("networkx")
+    for _ in range(60):
+        n = rng.randrange(12, 21)
+        g = random_connected_graph(n, rng, p=rng.choice([0.15, 0.3, 0.45, 0.6, 0.8]))
+        cert = connectivity(g)
+        h = nx.Graph()
+        h.add_nodes_from(range(n))
+        h.add_edges_from(g.edges())
+        assert cert.kappa == nx.node_connectivity(h), g.edges()
+        if cert.witness_cut is not None:
+            assert cert.witness_cut.bit_count() == cert.kappa
+            assert len(components(g, removed=cert.witness_cut)) >= 2, g.edges()
+
+
 def test_witness_vertices_in_range():
     cert = connectivity(build_jm(5).graph)
     assert all(0 <= v < 14 for v in bits(cert.witness_cut))

@@ -86,6 +86,16 @@ def test_stars_match_naive(rng):
             got = [(s.center, frozenset(bits(s.leaves))) for s in induced_stars(g, k)]
             assert got == induced_stars_naive(g, k)
         assert claw_centers(g) == mask_of({c for c, _ in induced_stars_naive(g, 3)})
+    # wide neighbourhoods: the leaf recursion must keep combination order
+    for _ in range(60):
+        n = rng.randrange(5, 17)
+        p = rng.choice([0.2, 0.35, 0.5, 0.65, 0.8])
+        g = from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                           if rng.random() < p])
+        for k in (2, 3, 4, 5):
+            got = [(s.center, frozenset(bits(s.leaves))) for s in induced_stars(g, k)]
+            assert got == induced_stars_naive(g, k), (g.edges(), k)
+        assert claw_centers(g) == mask_of({c for c, _ in induced_stars_naive(g, 3)})
 
 
 def test_induced_stars_validates_k():

@@ -47,7 +47,7 @@ from toughkit.invariants import (
     toughness_json,
 )
 
-from oracles import cutsets_naive, first_violation_naive, toughness_oracle
+from oracles import cutsets_naive, first_violation_naive, frontier_plan_naive, toughness_oracle
 
 # graph6 -> output digests of the four invariant commands, recorded from the
 # benchmark's corpus pool (336 labelings of 42 random graphs, n 14-20)
@@ -229,10 +229,15 @@ def test_next_rational_fails(rng):
 # ---------------------------------------------------------------------------
 # frontier DP value path
 
+def _seed(g):
+    """The isolation seed, with the union tables toughness() builds for it."""
+    return _isolation_seed(g, _union_tables(g.adj, g.n))
+
+
 def _dp_result(g):
     """(value, witness, k) from Dinkelbach's iteration on the DP alone."""
     steps, _ = _frontier_plan(g)
-    s, k, witness = _dinkelbach(steps, *_isolation_seed(g)[:2])
+    s, k, witness = _dinkelbach(steps, *_seed(g)[:2])
     return Fraction(s, k), witness, k
 
 
@@ -243,7 +248,7 @@ def _dp_value(g):
 def _dp_chosen(g):
     """Whether toughness() takes the DP path for g (its cost rule)."""
     alpha, _ = independence_number(g)
-    return _dp_steps(g, alpha, *_isolation_seed(g)[:2], ties=True) is not None
+    return _dp_steps(g, alpha, *_seed(g)[:2], ties=True) is not None
 
 
 def test_dp_value_matches_oracle_on_randoms(rng):
@@ -264,9 +269,10 @@ def test_dp_matches_sweep_beyond_the_oracle_range(rng):
     # (|S|, k, lex-min witness)
     for _ in range(40):
         g = random_connected_graph(rng.randrange(14, 21), rng, p=rng.choice([0.1, 0.15, 0.2]))
-        seed = _isolation_seed(g)
+        tables = _union_tables(g.adj, g.n)
+        seed = _isolation_seed(g, tables)
         steps, _ = _frontier_plan(g)
-        swept = _sweep_value(g, independence_number(g)[0], seed)
+        swept = _sweep_value(g, tables, independence_number(g)[0], seed)
         assert _dinkelbach(steps, *seed[:2]) == swept, g.edges()
 
 
@@ -306,6 +312,17 @@ def test_jm_frontier_stays_narrow():
         assert max(_frontier_plan(build_jm(m).graph)[1]) <= 5
 
 
+def test_frontier_plan_matches_naive(rng):
+    # the single-neighbour mask must pick the same vertex at every step as
+    # recounting each candidate's closed frontier vertices
+    graphs = [build_jm(m).graph for m in range(3, 14)]
+    graphs += [random_connected_graph(rng.randrange(8, 21), rng,
+                                      p=rng.choice([0.1, 0.2, 0.35, 0.5, 0.7]))
+               for _ in range(200)]
+    for g in graphs:
+        assert _frontier_plan(g) == frontier_plan_naive(g), g.edges()
+
+
 def test_cost_rule_sends_jm7_to_dp_and_dense_randoms_to_sweep(rng):
     assert _dp_chosen(build_jm(7).graph)
     for n in range(14, 21):
@@ -322,11 +339,12 @@ def test_toughness_sweep_estimate_counts_the_tie_size(monkeypatch):
     # 5 is most of the sweep, which the DP undercuts
     g = parse_graph6("S?SC?GRcXPOhAAOgKC??_gACGW_@_A???")
     alpha, _ = independence_number(g)
-    seed = _isolation_seed(g)
+    tables = _union_tables(g.adj, g.n)
+    seed = _isolation_seed(g, tables)
     assert (g.n, connectivity(g).kappa, alpha, seed[:2]) == (20, 1, 10, (1, 2))
     assert _dp_chosen(g)
     assert _dp_steps(g, alpha, *seed[:2]) is None
-    swept = _sweep_value(g, alpha, seed)
+    swept = _sweep_value(g, tables, alpha, seed)
 
     def no_sweep(*args):
         raise AssertionError("toughness swept a graph its cost rule sends to the DP")
@@ -354,7 +372,7 @@ def test_state_ceiling_falls_back_to_the_sweep(monkeypatch):
     want = toughness(g)
     monkeypatch.setattr(invariants, "_DP_MAX_STATES", 10)
     steps, _ = _frontier_plan(g)
-    assert _dinkelbach(steps, *_isolation_seed(g)[:2]) is None
+    assert _dinkelbach(steps, *_seed(g)[:2]) is None
     assert toughness(g) == want
     assert is_t_tough(g, 2) == (True, None)
 
@@ -365,7 +383,7 @@ def test_state_ceiling_counts_labels_with_capped_count(monkeypatch):
     for g, peak in ((build_jm(5).graph, 124), (build_jm(7).graph, 170),
                     (line_graph(petersen()), 386)):
         steps, _ = _frontier_plan(g)
-        s, k, _ = _isolation_seed(g)
+        s, k, _ = _seed(g)
         monkeypatch.setattr(invariants, "_DP_MAX_STATES", peak)
         assert _frontier_dp(steps, s, k) is not None
         monkeypatch.setattr(invariants, "_DP_MAX_STATES", peak - 1)
