@@ -63,8 +63,8 @@ def _verdict_text(verdict: str, stream) -> str:
     return f"\x1b[{code}m{verdict}\x1b[0m"
 
 
-def _dump_json(payload) -> None:
-    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+def _json_text(payload) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def _parse_m_range(text: str):
@@ -118,20 +118,21 @@ def _graph_table(g: Graph, names: list[str] | None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit_graph(g: Graph, fmt: str, names: list[str] | None) -> None:
-    if fmt == "graph6":
-        sys.stdout.write(serialize_graph6(g) + "\n")
-    elif fmt == "edges":
-        sys.stdout.write(serialize_edge_list(g))
-    elif fmt == "dot":
-        sys.stdout.write(to_dot(g, names))
-    elif fmt == "table":
-        sys.stdout.write(_graph_table(g, names))
-    else:
-        payload = {"n": g.n, "edges": [[u, v] for u, v in g.edges()]}
-        if names is not None:
-            payload["names"] = names
-        _dump_json(payload)
+def _graph_json(g: Graph, names: list[str] | None) -> str:
+    payload = {"n": g.n, "edges": [[u, v] for u, v in g.edges()]}
+    if names is not None:
+        payload["names"] = names
+    return _json_text(payload)
+
+
+# gen --format name -> writer of (graph, vertex names or None) -> text
+_GRAPH_FORMATS = {
+    "graph6": lambda g, names: serialize_graph6(g) + "\n",
+    "dot": to_dot,
+    "edges": lambda g, names: serialize_edge_list(g),
+    "json": _graph_json,
+    "table": _graph_table,
+}
 
 
 # family -> (builder, the flags passed to it in order, a note on them);
@@ -161,7 +162,7 @@ def cmd_gen(args) -> int:
         g = g.graph
     elif args.labels:
         raise ValueError("--labels only applies to the jm family")
-    _emit_graph(g, args.format, names)
+    sys.stdout.write(_GRAPH_FORMATS[args.format](g, names))
     return OK
 
 
@@ -203,7 +204,7 @@ def cmd_invariant(args) -> int:
     if args.format == "table":
         sys.stdout.write(_invariant_table(payload))
     else:
-        _dump_json(payload)
+        sys.stdout.write(_json_text(payload))
     return OK
 
 
@@ -271,7 +272,7 @@ def cmd_census(args) -> int:
     if args.format == "table":
         sys.stdout.write(_census_table(payload))
     else:
-        _dump_json(payload)
+        sys.stdout.write(_json_text(payload))
     if args.strict and payload["errors"]:
         _err(f"{len(payload['errors'])} input line(s) rejected")
         return PARSE
@@ -294,7 +295,7 @@ def cmd_corpus(args) -> int:
         n = rng.randrange(args.min_n, args.max_n + 1)
         out.append(serialize_graph6(random_connected_graph(n, rng, args.p)))
     if args.format == "json":
-        _dump_json({"count": len(out), "graphs": out, "seed": args.seed})
+        sys.stdout.write(_json_text({"count": len(out), "graphs": out, "seed": args.seed}))
     else:
         sys.stdout.write("".join(line + "\n" for line in out))
     return OK
@@ -341,8 +342,7 @@ def _build_parser(census_workers: int | None = None) -> argparse.ArgumentParser:
     gen.add_argument("--k", type=int, help="cycle power distance / star leaves")
     gen.add_argument("--labels", action="store_true",
                      help="use role names (a1 ... c_i) in dot/json/table output")
-    gen.add_argument("--format", choices=("graph6", "dot", "edges", "json", "table"),
-                     default="graph6")
+    gen.add_argument("--format", choices=_GRAPH_FORMATS, default="graph6")
     gen.set_defaults(handler=cmd_gen)
 
     inv = subs.add_parser("invariant", help="compute a certificate for one graph")

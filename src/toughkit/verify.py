@@ -1,13 +1,15 @@
 """Machine checks for the structural claims about the J family.
 
-Every check returns a ClaimReport whose details carry enough data to
-re-validate the verdict from scratch (witness cuts, independent sets,
-triangle covers, offending counterexamples on FAIL).  Reports are pure
-data, serialize with sorted keys, and are byte-identical across runs and
-worker counts.
+Every check is a pure computation that returns ``(ok, details)``, with
+details that carry enough data to re-validate the verdict from scratch
+(witness cuts, independent sets, triangle covers, offending
+counterexamples on FAIL).  ``run_claim`` turns one check into a
+ClaimReport.  Reports are pure data, serialize with sorted keys, and are
+byte-identical across runs and worker counts.
 
 ``CLAIMS`` at the end of this module is the claim table: one record per
-claim, in ledger order, with its check, default parameters and hypothesis.
+claim, in ledger order, with its id, check, default parameters and
+hypothesis.  Only ``run_claim`` and ``build_tasks`` read a hypothesis.
 """
 
 from __future__ import annotations
@@ -53,10 +55,6 @@ class ClaimReport:
         }
 
 
-def _report(claim: str, parameter, ok: bool, details: dict) -> ClaimReport:
-    return ClaimReport(claim, parameter, "PASS" if ok else "FAIL", details)
-
-
 def _vlist(mask: int) -> list[int]:
     return list(bits(mask))
 
@@ -91,14 +89,14 @@ def _toughness(label: str):
 # ---------------------------------------------------------------------------
 # J-family claims
 
-def verify_lemma_a(m: int) -> ClaimReport:
+def verify_lemma_a(m: int) -> tuple[bool, dict]:
     """Connectivity exactly 4."""
     cert = connectivity(_jm(m).graph)
     details = {
         "kappa": cert.kappa,
         "witness_cut": None if cert.witness_cut is None else _vlist(cert.witness_cut),
     }
-    return _report("LEMMA_A", m, cert.kappa == 4, details)
+    return cert.kappa == 4, details
 
 
 def _classify_4cut(lg: LabeledGraph, cut: int) -> str:
@@ -117,7 +115,7 @@ def _classify_4cut(lg: LabeledGraph, cut: int) -> str:
     return "outside_claim"
 
 
-def verify_lemma_b(m: int) -> ClaimReport:
+def verify_lemma_b(m: int) -> tuple[bool, dict]:
     """Every size-4 cut-set isolates a cycle vertex or is an aligned pair.
 
     This is machine-refuted for every m >= 5: cut-sets made of one aligned
@@ -128,7 +126,6 @@ def verify_lemma_b(m: int) -> ClaimReport:
     m <= 7, 10 of 12 at m = 8, 10 of 14 at m = 9); by_kind["outside_claim"]
     always gives the full count.
     """
-    _check_applies("LEMMA_B", m)
     lg = _jm(m)
     tallies = {"isolates_cycle_vertex": 0, "aligned_pair": 0, "outside_claim": 0}
     bad: list[list[int]] = []
@@ -143,7 +140,7 @@ def verify_lemma_b(m: int) -> ClaimReport:
         "by_kind": tallies,
         "counterexamples": bad[:10],
     }
-    return _report("LEMMA_B", m, not bad, details)
+    return not bad, details
 
 
 def _triangle_cover(lab) -> list[tuple[int, int, int]]:
@@ -157,17 +154,15 @@ def _triangle_cover(lab) -> list[tuple[int, int, int]]:
     return tris
 
 
-def verify_lemma_c(m: int) -> ClaimReport:
+def verify_lemma_c(m: int) -> tuple[bool, dict]:
     """Independence number m-1 for odd m."""
-    _check_applies("LEMMA_C", m)
     alpha, witness = independence_number(_jm(m).graph)
     details = {"alpha": alpha, "expected": m - 1, "witness": _vlist(witness)}
-    return _report("LEMMA_C", m, alpha == m - 1, details)
+    return alpha == m - 1, details
 
 
-def verify_lemma_c_triangles(m: int) -> ClaimReport:
+def verify_lemma_c_triangles(m: int) -> tuple[bool, dict]:
     """Dropping a_1 and b_m leaves m-1 disjoint spanning triangles (odd m)."""
-    _check_applies("LEMMA_C_TRIANGLES", m)
     lg = _jm(m)
     g, lab = lg.graph, lg.labeling
     tris = _triangle_cover(lab)
@@ -190,34 +185,25 @@ def verify_lemma_c_triangles(m: int) -> ClaimReport:
         "disjoint_triangles": all_triangles,
         "spanning": spanning,
     }
-    return _report("LEMMA_C_TRIANGLES", m, all_triangles and spanning, details)
+    return all_triangles and spanning, details
 
 
-def verify_theorem(m: int) -> ClaimReport:
+def verify_theorem(m: int) -> tuple[bool, dict]:
     """Toughness exactly 2 for odd m >= 3."""
-    _check_applies("THEOREM", m)
-    cert = _toughness(f"J_{m}")
-    details = {
-        "toughness": fraction_json(cert.value),
-        "witness_cut": _vlist(cert.witness_cut),
-        "components": cert.component_count,
-    }
-    return _report("THEOREM", m, cert.value == Fraction(2), details)
+    return verify_two_tough(f"J_{m}")
 
 
-def verify_claw_centers(m: int) -> ClaimReport:
+def verify_claw_centers(m: int) -> tuple[bool, dict]:
     """Claw centers are exactly the bridge set a_1, a_m, b_1, b_m."""
-    _check_applies("CLAW_CENTERS", m)
     lg = _jm(m)
     centers = claw_centers(lg.graph)
     x = lg.labeling.x_mask()
     details = {"centers": _vlist(centers), "expected": _vlist(x)}
-    return _report("CLAW_CENTERS", m, centers == x, details)
+    return centers == x, details
 
 
-def verify_no_k14_at_x(m: int) -> ClaimReport:
+def verify_no_k14_at_x(m: int) -> tuple[bool, dict]:
     """No induced K_{1,4} is centered at a bridge vertex."""
-    _check_applies("NO_K14_AT_X", m)
     lg = _jm(m)
     x = lg.labeling.x_mask()
     four_stars = induced_stars(lg.graph, 4)
@@ -226,13 +212,13 @@ def verify_no_k14_at_x(m: int) -> ClaimReport:
         "k14_total": len(four_stars),
         "k14_at_bridge": [{"center": s.center, "leaves": _vlist(s.leaves)} for s in at_x],
     }
-    return _report("NO_K14_AT_X", m, not at_x, details)
+    return not at_x, details
 
 
 # ---------------------------------------------------------------------------
 # background claims on fixed graphs
 
-def verify_ms_consistency(label: str) -> ClaimReport:
+def verify_ms_consistency(label: str) -> tuple[bool, dict]:
     """Claw-free graphs must land exactly on toughness = connectivity / 2."""
     g = _graph(label)
     free = claw_centers(g) == 0
@@ -245,21 +231,21 @@ def verify_ms_consistency(label: str) -> ClaimReport:
         "toughness": fraction_json(tough.value),
         "witness_cut": _vlist(tough.witness_cut),
     }
-    return _report("MS_CONSISTENCY", label, ok, details)
+    return ok, details
 
 
-def verify_cycle_power_tough(label: str) -> ClaimReport:
-    """C_n^2 fixtures are exactly 2-tough."""
+def verify_two_tough(label: str) -> tuple[bool, dict]:
+    """The graph is exactly 2-tough: the C_n^2 fixtures, and J_m (odd m)."""
     cert = _toughness(label)
     details = {
         "toughness": fraction_json(cert.value),
         "witness_cut": _vlist(cert.witness_cut),
         "components": cert.component_count,
     }
-    return _report("CYCLE_POWER_TOUGH", label, cert.value == Fraction(2), details)
+    return cert.value == Fraction(2), details
 
 
-def verify_alpha_bound(label: str) -> ClaimReport:
+def verify_alpha_bound(label: str) -> tuple[bool, dict]:
     """Supertough 4-regular graphs obey alpha <= 2n / (r + 2) = n/3."""
     g = _graph(label)
     regular4 = all(g.degree(v) == 4 for v in range(g.n))
@@ -273,7 +259,7 @@ def verify_alpha_bound(label: str) -> ClaimReport:
         "bound": fraction_json(bound),
         "witness": _vlist(witness),
     }
-    return _report("ALPHA_BOUND", label, supertough and alpha <= bound, details)
+    return supertough and alpha <= bound, details
 
 
 # ---------------------------------------------------------------------------
@@ -283,12 +269,12 @@ class Claim(NamedTuple):
     """One ledger claim.
 
     A J-family claim checks one m per report: by default each m in
-    ``params``, and only where ``hypothesis(m)`` holds; its check raises
-    at any other m.  A fixed-graph claim has ``hypothesis`` None and checks
-    every graph label in ``params``, whatever m is asked for."""
+    ``params``, and only where ``hypothesis(m)`` holds; ``run_claim``
+    raises at any other m.  A fixed-graph claim has ``hypothesis`` None and
+    checks every graph label in ``params``, whatever m is asked for."""
 
     id: str
-    check: Callable[[object], ClaimReport]
+    check: Callable[[object], tuple[bool, dict]]
     params: tuple | range
     hypothesis: Callable[[int], bool] | None = None
 
@@ -309,7 +295,7 @@ CLAIMS = {c.id: c for c in (
     Claim("NO_K14_AT_X", verify_no_k14_at_x, range(3, 10), lambda m: m >= 4),
     Claim("MS_CONSISTENCY", verify_ms_consistency,
           ("J_3", "C_5", "L(K_4)", "L(K_5)", "L(petersen)")),
-    Claim("CYCLE_POWER_TOUGH", verify_cycle_power_tough, ("C_8^2", "C_10^2")),
+    Claim("CYCLE_POWER_TOUGH", verify_two_tough, ("C_8^2", "C_10^2")),
     Claim("ALPHA_BOUND", verify_alpha_bound, ("J_3", "J_5", "J_7", "C_8^2", "C_10^2")),
 )}
 
@@ -324,12 +310,20 @@ def _check_applies(claim: str, m: int) -> None:
                          "(check the hypothesis; --odd-only skips even m)")
 
 
+def run_claim(claim: str, param) -> ClaimReport:
+    """Check one claim at one parameter and report its verdict.
+
+    Raises ValueError if ``claim`` is J-family and its hypothesis fails at
+    m = ``param``.  The check is called through the module's name for it,
+    not the object the table holds, so a wrapper bound to that name (a
+    tracer, a test double) sees the call."""
+    _check_applies(claim, param)
+    ok, details = globals()[CLAIMS[claim].check.__name__](param)
+    return ClaimReport(claim, param, "PASS" if ok else "FAIL", details)
+
+
 def _run_task(task: tuple[str, object]) -> ClaimReport:
-    claim, param = task
-    # call through the module's name for the check, not the object the
-    # table holds, so a wrapper bound to that name (a tracer, a test
-    # double) sees the call
-    return globals()[CLAIMS[claim].check.__name__](param)
+    return run_claim(*task)
 
 
 def build_tasks(m_values=None, claims=None, odd_only: bool = False):

@@ -32,17 +32,7 @@ from toughkit.search import (
     enumerate_regular,
     run_census,
 )
-from toughkit.verify import (
-    verify_alpha_bound,
-    verify_claw_centers,
-    verify_cycle_power_tough,
-    verify_lemma_a,
-    verify_lemma_b,
-    verify_lemma_c,
-    verify_lemma_c_triangles,
-    verify_ms_consistency,
-    verify_no_k14_at_x,
-)
+from toughkit.verify import run_claim
 
 from oracles import (
     adj_sets,
@@ -105,11 +95,11 @@ LEMMA_B_SPLITS = {5: (10, 9, 6), 6: (12, 14, 8), 7: (14, 20, 10)}
 
 def test_criterion_2_lemma_ledger():
     for m in range(3, 10):
-        r = verify_lemma_a(m)
+        r = run_claim("LEMMA_A", m)
         assert r.passed and r.details["kappa"] == 4, (
             f"LEMMA_A m={m}: {r.verdict} {r.details}")
     for m in (3, 5, 7):
-        for r in (verify_lemma_c(m), verify_lemma_c_triangles(m)):
+        for r in (run_claim("LEMMA_C", m), run_claim("LEMMA_C_TRIANGLES", m)):
             assert r.passed, f"{r.claim} m={m}: {r.verdict} {r.details}"
 
     # LEMMA_B is false for m >= 5; pin the refutation against the oracle
@@ -117,7 +107,7 @@ def test_criterion_2_lemma_ledger():
     for m, split in LEMMA_B_SPLITS.items():
         lg = build_jm(m)
         g, lab = lg.graph, lg.labeling
-        r = verify_lemma_b(m)
+        r = run_claim("LEMMA_B", m)
         d = r.details
         assert r.verdict == "FAIL", f"LEMMA_B m={m} not refuted: {d}"
         cuts = cutsets_naive(g, 4)
@@ -146,7 +136,7 @@ def test_criterion_2_lemma_ledger():
 def test_criterion_3_claw_structure():
     all_ok = True
     for m in range(4, 8):
-        centers_rep, k14_rep = verify_claw_centers(m), verify_no_k14_at_x(m)
+        centers_rep, k14_rep = run_claim("CLAW_CENTERS", m), run_claim("NO_K14_AT_X", m)
         all_ok = all_ok and centers_rep.passed and k14_rep.passed
         lab = build_jm(m).labeling
         assert centers_rep.details["expected"] == sorted(
@@ -157,12 +147,12 @@ def test_criterion_3_claw_structure():
 
 
 def test_criterion_4_background_consistency():
-    j3 = verify_ms_consistency("J_3")
+    j3 = run_claim("MS_CONSISTENCY", "J_3")
     g3 = build_jm(3).graph
     assert claw_centers(g3) == 0
     assert toughness(g3).value == Fraction(connectivity(g3).kappa, 2) == 2
-    powers = [verify_cycle_power_tough(lbl) for lbl in ("C_8^2", "C_10^2")]
-    bounds = [verify_alpha_bound(lbl)
+    powers = [run_claim("CYCLE_POWER_TOUGH", lbl) for lbl in ("C_8^2", "C_10^2")]
+    bounds = [run_claim("ALPHA_BOUND", lbl)
               for lbl in ("J_3", "J_5", "J_7", "C_8^2", "C_10^2")]
     ok = j3.passed and all(r.passed for r in powers + bounds)
     _verdict(4, ok, "smallest family member is claw-free with toughness "

@@ -1,6 +1,8 @@
-"""Claim checks: PASS paths, hypothesis guards, the machine-refuted
-four-cut classification, ledger orchestration and the pinned ledger."""
+"""Claim checks through the runner: PASS paths, hypothesis guards, the
+machine-refuted four-cut classification, ledger orchestration and the
+pinned ledger."""
 
+import ast
 import hashlib
 import json
 from fractions import Fraction
@@ -21,17 +23,8 @@ from toughkit.verify import (
     ClaimReport,
     build_tasks,
     ledger_json,
+    run_claim,
     run_ledger,
-    verify_alpha_bound,
-    verify_claw_centers,
-    verify_cycle_power_tough,
-    verify_lemma_a,
-    verify_lemma_b,
-    verify_lemma_c,
-    verify_lemma_c_triangles,
-    verify_ms_consistency,
-    verify_no_k14_at_x,
-    verify_theorem,
 )
 
 EXPECTED = json.loads(
@@ -53,7 +46,7 @@ def test_claim_report_surface():
 
 @pytest.mark.parametrize("m", [3, 4, 5, 6])
 def test_lemma_a_passes(m):
-    rep = verify_lemma_a(m)
+    rep = run_claim("LEMMA_A", m)
     assert rep.verdict == "PASS"
     assert rep.details["kappa"] == 4
     cut = mask_of(rep.details["witness_cut"])
@@ -63,18 +56,13 @@ def test_lemma_a_passes(m):
 
 def test_lemma_a_fails_on_doctored_graph(monkeypatch):
     monkeypatch.setattr(verify, "_jm", lambda m: SimpleNamespace(graph=cycle(8)))
-    rep = verify_lemma_a(3)
+    rep = run_claim("LEMMA_A", 3)
     assert rep.verdict == "FAIL"
     assert rep.details["kappa"] == 2
 
 
 # ---------------------------------------------------------------------------
 # four-cut classification: FAILs honestly for every m >= 5
-
-def test_lemma_b_hypothesis_guard():
-    with pytest.raises(ValueError, match="does not apply at m="):
-        verify_lemma_b(4)
-
 
 def bridge_skew_family(m):
     """Cut-sets {a_1, a_j, b_j, b_m} and {a_j, a_m, b_1, b_j}, 2 <= j < m."""
@@ -90,7 +78,7 @@ def bridge_skew_family(m):
     (6, 34, {"isolates_cycle_vertex": 12, "aligned_pair": 14, "outside_claim": 8}),
 ])
 def test_lemma_b_fails_with_exact_tallies(m, total, by_kind):
-    rep = verify_lemma_b(m)
+    rep = run_claim("LEMMA_B", m)
     assert rep.verdict == "FAIL"
     assert rep.details["cutsets"] == total
     assert rep.details["by_kind"] == by_kind
@@ -119,7 +107,7 @@ def test_lemma_b_counterexamples_revalidate():
     m = 5
     lg = build_jm(m)
     g, lab = lg.graph, lg.labeling
-    rep = verify_lemma_b(m)
+    rep = run_claim("LEMMA_B", m)
     ab = lab.a_mask() | lab.b_mask()
     for ids in rep.details["counterexamples"]:
         cut = mask_of(ids)
@@ -140,16 +128,9 @@ def test_lemma_b_counterexamples_revalidate():
 # ---------------------------------------------------------------------------
 # independence claim and its triangle device
 
-def test_lemma_c_hypothesis_guard():
-    with pytest.raises(ValueError, match="does not apply at m="):
-        verify_lemma_c(4)
-    with pytest.raises(ValueError, match="does not apply at m="):
-        verify_lemma_c_triangles(4)
-
-
 @pytest.mark.parametrize("m", [3, 5, 7])
 def test_lemma_c_passes(m):
-    alpha_rep, tri_rep = verify_lemma_c(m), verify_lemma_c_triangles(m)
+    alpha_rep, tri_rep = run_claim("LEMMA_C", m), run_claim("LEMMA_C_TRIANGLES", m)
     assert alpha_rep.verdict == "PASS"
     assert alpha_rep.details["alpha"] == m - 1
     g = build_jm(m).graph
@@ -169,14 +150,9 @@ def test_lemma_c_passes(m):
 # ---------------------------------------------------------------------------
 # toughness claim
 
-def test_theorem_hypothesis_guard():
-    with pytest.raises(ValueError, match="does not apply at m="):
-        verify_theorem(6)
-
-
 @pytest.mark.parametrize("m", [3, 5])
 def test_theorem_passes(m):
-    rep = verify_theorem(m)
+    rep = run_claim("THEOREM", m)
     assert rep.verdict == "PASS"
     assert rep.details["toughness"] == {"num": 2, "den": 1}
     cut = mask_of(rep.details["witness_cut"])
@@ -188,7 +164,7 @@ def test_theorem_passes(m):
 def test_theorem_fails_on_doctored_value(monkeypatch):
     fake = ToughnessCertificate(Fraction(3, 2), mask_of([0, 1, 2]), 2)
     monkeypatch.setattr(verify, "_toughness", lambda label: fake)
-    rep = verify_theorem(5)
+    rep = run_claim("THEOREM", 5)
     assert rep.verdict == "FAIL"
     assert rep.details["toughness"] == {"num": 3, "den": 2}
 
@@ -196,16 +172,9 @@ def test_theorem_fails_on_doctored_value(monkeypatch):
 # ---------------------------------------------------------------------------
 # claw structure claims
 
-def test_claw_structure_hypothesis_guard():
-    with pytest.raises(ValueError, match="does not apply at m="):
-        verify_claw_centers(3)
-    with pytest.raises(ValueError, match="does not apply at m="):
-        verify_no_k14_at_x(3)
-
-
 @pytest.mark.parametrize("m", [4, 5, 6])
 def test_claw_structure_passes(m):
-    centers_rep, k14_rep = verify_claw_centers(m), verify_no_k14_at_x(m)
+    centers_rep, k14_rep = run_claim("CLAW_CENTERS", m), run_claim("NO_K14_AT_X", m)
     assert centers_rep.verdict == "PASS"
     lab = build_jm(m).labeling
     assert centers_rep.details["centers"] == sorted(
@@ -220,7 +189,7 @@ def test_claw_structure_passes(m):
 
 @pytest.mark.parametrize("label", ["J_3", "C_5", "L(K_4)", "L(K_5)", "L(petersen)"])
 def test_ms_consistency_passes(label):
-    rep = verify_ms_consistency(label)
+    rep = run_claim("MS_CONSISTENCY", label)
     assert rep.verdict == "PASS"
     assert rep.details["claw_free"] is True
     tough = Fraction(rep.details["toughness"]["num"],
@@ -229,7 +198,7 @@ def test_ms_consistency_passes(label):
 
 
 def test_ms_consistency_line_graph_values():
-    rep = verify_ms_consistency("L(petersen)")
+    rep = run_claim("MS_CONSISTENCY", "L(petersen)")
     assert rep.details["kappa"] == 4
     assert Fraction(rep.details["toughness"]["num"],
                     rep.details["toughness"]["den"]) == Fraction(2)
@@ -237,7 +206,7 @@ def test_ms_consistency_line_graph_values():
 
 @pytest.mark.parametrize("label", ["C_8^2", "C_10^2"])
 def test_cycle_power_tough_passes(label):
-    rep = verify_cycle_power_tough(label)
+    rep = run_claim("CYCLE_POWER_TOUGH", label)
     assert rep.verdict == "PASS"
     assert rep.details["toughness"] == {"num": 2, "den": 1}
 
@@ -250,7 +219,7 @@ def test_cycle_power_tough_passes(label):
     ("C_10^2", 10, 3),
 ])
 def test_alpha_bound_passes(label, n, alpha):
-    rep = verify_alpha_bound(label)
+    rep = run_claim("ALPHA_BOUND", label)
     assert rep.verdict == "PASS"
     assert rep.details["n"] == n
     assert rep.details["alpha"] == alpha
@@ -318,9 +287,34 @@ def test_run_ledger_workers_agree():
 
 
 def test_run_ledger_calls_checks_through_module_names(monkeypatch):
-    stub = ClaimReport("THEOREM", 3, "FAIL", {"stub": True})
-    monkeypatch.setattr(verify, "verify_theorem", lambda m: stub)
-    assert run_ledger(m_values=[3], claims=["THEOREM"]) == [stub]
+    monkeypatch.setattr(verify, "verify_theorem", lambda m: (False, {"stub": m}))
+    assert run_ledger(m_values=[3], claims=["THEOREM"]) == [
+        ClaimReport("THEOREM", 3, "FAIL", {"stub": 3})]
+
+
+@pytest.mark.parametrize("claim", [c for c in CLAIMS.values() if c.hypothesis],
+                         ids=lambda c: c.id)
+def test_runner_enforces_each_hypothesis(monkeypatch, claim):
+    # the largest m below 10 outside the hypothesis: m = 4 for LEMMA_B, 8
+    # for the odd-m claims, 3 for the claw claims, 2 for LEMMA_A
+    m = max(m for m in range(2, 10) if not claim.hypothesis(m))
+    calls = []
+    monkeypatch.setattr(verify, claim.check.__name__, calls.append)
+    with pytest.raises(ValueError, match=rf"^claim {claim.id} does not apply at m={m} \("):
+        run_claim(claim.id, m)
+    assert calls == []
+
+
+def test_each_claim_id_is_written_once_in_verify():
+    tree = ast.parse(Path(verify.__file__).read_text())
+    strings = [node.value for node in ast.walk(tree)
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    assert {c: strings.count(c) for c in CLAIM_IDS} == dict.fromkeys(CLAIM_IDS, 1)
+    # and only the runner and build_tasks read a hypothesis through _check_applies
+    callers = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn) if isinstance(node, ast.Call)
+               and getattr(node.func, "id", None) == "_check_applies"}
+    assert callers == {"run_claim", "build_tasks"}
 
 
 def test_ledger_json_is_stable_and_parseable():
