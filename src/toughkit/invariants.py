@@ -104,26 +104,28 @@ def _count_components(alive: int, tables: list[list[int]]) -> int:
     return cnt
 
 
-def _cuts(tables: list[list[int]], n: int, s: int, reps):
-    """(S, k) for size-s cut-sets S leaving k >= 2 components.
+def _completions(base: int, free: int, need: int):
+    """``base`` plus each ``need``-subset of the mask ``free``, in combinations order."""
+    if not need:
+        return (base,)
+    return (sum(w, base) for w in combinations([1 << v for v in bits(free)], need))
 
-    Each (F, |F|, free) entry of ``reps`` (from ``_representatives``) tries
-    F plus every (s - |F|)-subset of ``free``.  The sets come in no set
-    order and possibly more than once; by the forcing lemma they still
-    cover every size-s cut-set leaving at least |I| components.
+
+def _forced_cuts(reps: list[tuple[int, int]], s: int):
+    """F plus each (s - |F|)-subset of ``free``, for each (F, free) in ``reps``.
+
+    The sets come in no set order and possibly more than once, and not all
+    are cut-sets; by the forcing lemma they cover every size-s cut-set
+    leaving at least |I| components.
     """
-    full = (1 << n) - 1
-    for forced, nf, free in reps:
-        if nf <= s:
-            for combo in combinations(free, s - nf):
-                x = forced | sum(combo)
-                k = _count_components(full & ~x, tables)
-                if k >= 2:
-                    yield x, k
+    for forced, free in reps:
+        need = s - forced.bit_count()
+        if need >= 0:
+            yield from _completions(forced, free, need)
 
 
-def _representatives(adj: tuple[int, ...], n: int, k: int) -> list[tuple[int, int, tuple]]:
-    """(F(I), |F(I)|, bits of V minus I and F(I)) for every independent k-set I.
+def _representatives(adj: tuple[int, ...], n: int, k: int) -> list[tuple[int, int]]:
+    """(F(I), V minus I and F(I)) as masks, for every independent k-set I.
 
     Forcing lemma: if G - S has at least k components, let I hold the least
     vertex of each of the k components whose least vertices are smallest.
@@ -136,8 +138,7 @@ def _representatives(adj: tuple[int, ...], n: int, k: int) -> list[tuple[int, in
 
     def grow(cand: int, chosen: int, nbrs: int, forced: int, left: int) -> None:
         if not left:
-            free = full & ~(chosen | forced)
-            out.append((forced, forced.bit_count(), tuple(1 << v for v in bits(free))))
+            out.append((forced, full & ~(chosen | forced)))
             return
         while cand.bit_count() >= left:
             low = cand & -cand
@@ -150,23 +151,27 @@ def _representatives(adj: tuple[int, ...], n: int, k: int) -> list[tuple[int, in
 
 
 def _size_cuts(g: Graph, tables: list[list[int]], s: int, k: int, reps: dict):
-    """(S, k) for size-s cut-sets S, covering every one leaving >= k components.
+    """(S, c) for the size-s sets S leaving c >= k components, each at least once.
 
-    ``_cuts`` runs when its sets are fewer than C(n, s), else ``_grown_cuts``,
-    whose sets are counted here.  The independent k-sets are listed, once
+    One of two walks proposes the sets, and only here are components
+    counted.  ``_forced_cuts`` walks when it proposes fewer sets than
+    C(n, s), else ``_grown_cuts``.  The independent k-sets are listed, once
     per k into ``reps``, only when C(n, k) <= C(n, s).
     """
     n = g.n
     subsets = comb(n, s)
+    cuts = None
     if comb(n, k) <= subsets:
         if k not in reps:
             reps[k] = _representatives(g.adj, n, k)
-        work = sum(comb(len(free), s - nf) for _, nf, free in reps[k] if nf <= s)
+        work = sum(comb(free.bit_count(), need) for forced, free in reps[k]
+                   if (need := s - forced.bit_count()) >= 0)
         if work < subsets:
-            return _cuts(tables, n, s, reps[k])
+            cuts = _forced_cuts(reps[k], s)
+    if cuts is None:
+        cuts = _grown_cuts(g, s, k)
     full = g.full_mask
-    return ((x, c) for x in _grown_cuts(g, s, k)
-            if (c := _count_components(full & ~x, tables)) >= k)
+    return ((x, c) for x in cuts if (c := _count_components(full & ~x, tables)) >= k)
 
 
 def _beats(s: int, k: int, x: int, best: tuple[int, int, int]) -> bool:
@@ -438,7 +443,7 @@ def is_t_tough(g: Graph, t) -> tuple[bool, VertexSet | None]:
     """Decide whether every cut-set S has |S| >= t * c(G - S).
 
     Returns (True, None) or (False, violating cut-set).  The witness is the
-    first violation in (size, subset) order, not necessarily the global
+    first violation in (size, mask) order, not necessarily the global
     minimizer.
     """
     t = Fraction(t)
@@ -650,7 +655,7 @@ def _grown_cuts(g: Graph, s: int, k: int) -> set[VertexSet]:
     """Size-s cut-sets (1 <= s <= n - 2), covering every one that leaves at
     least k components.
 
-    The sets are built from components; no component is ever counted.  A
+    The sets are built from components; ``_size_cuts`` counts them.  A
     size-s cut-set S leaving at least k components has a smallest component
     C in G - S: C is connected, has at most floor((n - s) / k) vertices, and
     its neighbourhood N(C) lies in S.  So S is N(C) plus s - |N(C)| vertices
@@ -661,21 +666,16 @@ def _grown_cuts(g: Graph, s: int, k: int) -> set[VertexSet]:
     the size cap) or the boundary X (while X has at most s vertices);
     neighbours below u can only go to X.  A branch stops once X would pass s
     even if C took as many undecided neighbours as its cap allows.  A C
-    whose neighbours are all decided has N(C) = X, and yields X with every
-    completion.  A cut-set with several small components comes out once per
-    such component, so the sets are deduplicated.
+    whose neighbours are all decided has N(C) = X, and yields X with each
+    completion (``_completions``).  A cut-set with several small components
+    comes out once per such component, so the sets are deduplicated.
     """
     n, adj, full = g.n, g.adj, g.full_mask
     cap = (n - s) // k
     found: set[int] = set()
 
     def close(comp: int, bound: int) -> None:
-        need = s - bound.bit_count()
-        if not need:
-            found.add(bound)
-            return
-        rest = [1 << v for v in bits(full & ~(comp | bound))]
-        found.update(sum(w, bound) for w in combinations(rest, need))
+        found.update(_completions(bound, full & ~(comp | bound), s - bound.bit_count()))
 
     def grow(comp: int, size: int, bound: int, front: int, below: int) -> None:
         # front: the neighbours of comp in neither comp nor bound, all above u

@@ -32,9 +32,9 @@ from toughkit.generators import (
 )
 from toughkit.graphs import EnvelopeError, components
 from toughkit.invariants import (
-    _cuts,
     _dinkelbach,
     _dp_steps,
+    _forced_cuts,
     _frontier_dp,
     _frontier_plan,
     _grown_cuts,
@@ -263,17 +263,29 @@ def test_dp_value_matches_oracle_on_randoms(rng):
         checked += 1
 
 
+# sparse graphs past the corpus pool's n <= 20 that the cost rule sends to
+# the DP, with their (|S|, k, witness): n = 25 at frontier width 10 and
+# n = 24 at width 9
+WIDE_DP_GRAPHS = {
+    "XOCgO?S?BAs?X?Aq_BlCCtAiCMxG@GG?EX_CO@_?PT?Gf_H?TA?": (3, 2, mask_of([1, 11, 12])),
+    "W?_C_?Lg?O??BJWA?K@_?aOKA?C???TDHKiCGQIHUO?GCdP": (2, 2, mask_of([0, 2])),
+}
+
+
 def test_dp_matches_sweep_beyond_the_oracle_range(rng):
     # sparse graphs up to n = 20 can take the DP, past the n <= 12 that the
     # DP-against-oracle test covers; both forced paths must give the same
     # (|S|, k, lex-min witness)
-    for _ in range(40):
-        g = random_connected_graph(rng.randrange(14, 21), rng, p=rng.choice([0.1, 0.15, 0.2]))
+    cases = [(random_connected_graph(rng.randrange(14, 21), rng, p=rng.choice([0.1, 0.15, 0.2])),
+              None) for _ in range(40)]
+    cases += [(parse_graph6(g6), want) for g6, want in WIDE_DP_GRAPHS.items()]
+    for g, want in cases:
         tables = _union_tables(g.adj, g.n)
         seed = _isolation_seed(g, tables)
         steps, _ = _frontier_plan(g)
         swept = _sweep_value(g, tables, independence_number(g)[0], seed)
         assert _dinkelbach(steps, *seed[:2]) == swept, g.edges()
+        assert want is None or (_dp_chosen(g) and swept == want), g.edges()
 
 
 JM_VALUES = {3: Fraction(2), 4: Fraction(7, 4), 5: Fraction(2), 6: Fraction(11, 6),
@@ -407,7 +419,9 @@ def test_forcing_lemma_walk_covers_every_separating_set(rng):
     # vertices I of its first k components, so the walk over the F(I)
     # supersets (and the per-size choice of source) must yield it; it also
     # has a component of at most (n - s) // k vertices, so the growth walk
-    # with that cap must yield it too, and nothing that is not a cut-set
+    # with that cap must yield it too, and nothing that is not a cut-set;
+    # whichever walk runs, _size_cuts keeps exactly those sets, each with
+    # its true component count
     for _ in range(100):
         n = rng.randrange(5, 13)
         g = random_connected_graph(n, rng, p=rng.choice([0.2, 0.35, 0.5, 0.7]))
@@ -417,13 +431,16 @@ def test_forcing_lemma_walk_covers_every_separating_set(rng):
             reps = _representatives(g.adj, n, k)
             for s in range(1, n - 1):
                 want = {mask_of(c) for c in cutsets_naive(g, s, k)}
-                walked = {x for x, _ in _cuts(tables, n, s, reps)}
-                chosen = {x for x, _ in _size_cuts(g, tables, s, k, chosen_reps)}
+                walked = set(_forced_cuts(reps, s))
+                counted = list(_size_cuts(g, tables, s, k, chosen_reps))
+                chosen = {x for x, _ in counted}
                 grown = _grown_cuts(g, s, k)
                 assert want <= walked, (g.edges(), s, k, want - walked)
                 assert want <= chosen, (g.edges(), s, k, want - chosen)
                 assert want <= grown, (g.edges(), s, k, want - grown)
                 assert all(len(components(g, x)) >= 2 for x in grown), (g.edges(), s, k)
+                assert chosen == want and all(c == len(components(g, x)) for x, c in counted), \
+                    (g.edges(), s, k, chosen ^ want)
 
 
 def test_is_t_tough_matches_first_violation_oracle(rng):
