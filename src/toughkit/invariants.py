@@ -6,14 +6,15 @@ cut-sets S, computed here with exact rationals throughout.  A complete graph
 has no cut-set, and its toughness is INFINITE, which is ``math.inf``.  The
 optimized solver finds the value either by a frontier DP with Dinkelbach
 iteration or by a subset sweep pruned by independence number and a running
-best, whichever its work estimate says is cheaper for the input.  At each
-size the sweep tries the sets that a forcing lemma allows around an
-independent set of component representatives, or else the sets grown
-around a smallest component.  Either path ranks cut-sets by ratio and then
-by bitmask, so the pass that proves the value also holds the witness.  The
-test suite's oracle walks every subset with none of that and gates the
-solver.  Both report the same witness: the minimizing cut-set with the
-smallest bitmask value (ties beyond that cannot occur).
+best, whichever its weighted work estimates say is cheaper for the input.
+At each size the sweep tries the sets that a forcing lemma allows around
+an independent set of component representatives, or the sets grown around
+a smallest component, whichever of the two walks proposes fewer sets by
+exact count.  Either path ranks cut-sets by ratio and then by bitmask, so
+the pass that proves the value also holds the witness.  The test suite's
+oracle walks every subset with none of that and gates the solver.  Both
+report the same witness: the minimizing cut-set with the smallest bitmask
+value (ties beyond that cannot occur).
 """
 
 from __future__ import annotations
@@ -111,65 +112,88 @@ def _completions(base: int, free: int, need: int):
     return (sum(w, base) for w in combinations([1 << v for v in bits(free)], need))
 
 
-def _forced_cuts(reps: list[tuple[int, int]], s: int):
-    """F plus each (s - |F|)-subset of ``free``, for each (F, free) in ``reps``.
+def _seed_cuts(seeds: list[tuple[int, int]], s: int):
+    """X plus each (s - |X|)-subset of ``free``, for each seed (X, free).
 
-    The sets come in no set order and possibly more than once, and not all
-    are cut-sets; by the forcing lemma they cover every size-s cut-set
-    leaving at least |I| components.
+    The sets come in no set order and possibly more than once.
     """
-    for forced, free in reps:
-        need = s - forced.bit_count()
+    for base, free in seeds:
+        need = s - base.bit_count()
         if need >= 0:
-            yield from _completions(forced, free, need)
+            yield from _completions(base, free, need)
 
 
-def _representatives(adj: tuple[int, ...], n: int, k: int) -> list[tuple[int, int]]:
-    """(F(I), V minus I and F(I)) as masks, for every independent k-set I.
+def _proposals(seeds: list[tuple[int, int]], s: int) -> int:
+    """How many sets ``_seed_cuts(seeds, s)`` yields, repeats included."""
+    return sum(comb(free.bit_count(), need) for base, free in seeds
+               if (need := s - base.bit_count()) >= 0)
+
+
+def _representatives(g: Graph, s: int, k: int) -> list[tuple[int, int]]:
+    """(F(I), V minus I and F(I)) as masks, for every independent k-set I
+    with |F(I)| <= s.
 
     Forcing lemma: if G - S has at least k components, let I hold the least
     vertex of each of the k components whose least vertices are smallest.
-    I is independent and disjoint from S, and S contains F(I): the common
-    neighbours of every pair in I, and each a in I's neighbours below a
-    (a neighbour below a is outside a's component, so it is in S).
+    I is independent and disjoint from S, and S contains F(I): every vertex
+    below the least vertex of I (it is the least vertex outside S), the
+    common neighbours of every pair in I, and each a in I's neighbours
+    below a (a neighbour below a is outside a's component, so it is in S).
+    F only grows as I does, so a branch stops once F has more than s
+    vertices.  Needs k >= 2.
     """
-    full = (1 << n) - 1
+    adj, full = g.adj, g.full_mask
     out = []
 
     def grow(cand: int, chosen: int, nbrs: int, forced: int, left: int) -> None:
-        if not left:
-            out.append((forced, full & ~(chosen | forced)))
-            return
         while cand.bit_count() >= left:
             low = cand & -cand
             cand ^= low
             row = adj[low.bit_length() - 1]
-            grow(cand & ~row, chosen | low, nbrs | row, forced | row & (nbrs | low - 1), left - 1)
+            now = forced | row & (nbrs | low - 1)
+            if now.bit_count() > s:
+                continue
+            if left == 1:
+                out.append((now, full & ~(chosen | low | now)))
+            else:
+                grow(cand & ~row, chosen | low, nbrs | row, now, left - 1)
 
-    grow(full, 0, 0, 0, k)
+    for a in range(min(s + 1, g.n)):
+        # a is the least vertex outside S, so every vertex below it is in S
+        row = adj[a]
+        grow(full & ~row & -(2 << a), 1 << a, row, (1 << a) - 1, k - 1)
     return out
 
 
 def _size_cuts(g: Graph, tables: list[list[int]], s: int, k: int, reps: dict):
     """(S, c) for the size-s sets S leaving c >= k components, each at least once.
 
-    One of two walks proposes the sets, and only here are components
-    counted.  ``_forced_cuts`` walks when it proposes fewer sets than
-    C(n, s), else ``_grown_cuts``.  The independent k-sets are listed, once
-    per k into ``reps``, only when C(n, k) <= C(n, s).
+    Two walks can propose the sets, and only here are components counted.
+    The forcing walk completes the seeds of ``_representatives``, kept in
+    ``reps`` per k with the largest size they serve; the growth walk
+    completes those of ``_grown_seeds``.  Both cover every size-s set
+    leaving at least k components, and ``_proposals`` counts exactly what
+    each would propose.  The forcing walk runs unless the growth walk
+    proposes no more sets.  The growth seeds are only built when the
+    forcing walk proposes more than n sets, because the growth search
+    starts from every vertex.
     """
-    n = g.n
-    subsets = comb(n, s)
-    cuts = None
-    if comb(n, k) <= subsets:
-        if k not in reps:
-            reps[k] = _representatives(g.adj, n, k)
-        work = sum(comb(free.bit_count(), need) for forced, free in reps[k]
-                   if (need := s - forced.bit_count()) >= 0)
-        if work < subsets:
-            cuts = _forced_cuts(reps[k], s)
-    if cuts is None:
-        cuts = _grown_cuts(g, s, k)
+    top, forced = reps.get(k, (0, None))
+    if s > top:
+        # the callers ask size s for k components with k - 1 <= s * r <= k,
+        # for a ratio r that never falls, so no later size past
+        # s * k / (k - 1) asks for this k; a k raised to the floor of 2 can,
+        # and then lists again
+        top = s * k // (k - 1)
+        forced = _representatives(g, top, k)
+        reps[k] = top, forced
+    work = _proposals(forced, s)
+    cuts = _seed_cuts(forced, s)
+    if work > g.n:
+        grown = _grown_seeds(g, s, k)
+        if _proposals(grown, s) <= work:
+            # a cut-set with several small components is grown once per component
+            cuts = set(_seed_cuts(grown, s))
     full = g.full_mask
     return ((x, c) for x in cuts if (c := _count_components(full & ~x, tables)) >= k)
 
@@ -276,6 +300,9 @@ def _sweep_value(g: Graph, tables: list[list[int]], alpha: int,
 
 # Below this many subsets a sweep is too cheap to be worth an ordering.
 _DP_MIN_SWEEP_WORK = 1 << 12
+# Subsets of the sweep estimate that one DP state is weighted as, fitted to
+# forced-path timings of the 336 corpus pool labelings (see the README).
+_DP_STATE_COST = 8
 # Ceiling on live DP states; above it the sweep runs instead.
 _DP_MAX_STATES = 1 << 16
 
@@ -324,9 +351,12 @@ def _dp_steps(g: Graph, alpha: int, p: int, q: int, *, ties: bool = False) -> li
     """Frontier-DP steps when the DP is estimated cheaper than the sweep.
 
     The sweep's work is taken as C(n, s) for each size s that
-    ``_sweep_sizes`` allows at ratio p/q, an upper bound: neither of its
-    walks tries every subset.  The DP's is at most 3 * Bell(w + 1) states
-    per step of frontier width w.  None means the sweep should run.
+    ``_sweep_sizes`` allows at ratio p/q, a loose upper bound: its walks
+    propose far fewer sets, and an improving best stops it early.  The DP's
+    is at most 3 * Bell(w + 1) states per step of frontier width w, each
+    weighted as ``_DP_STATE_COST`` subsets; the weight is what sends the
+    graphs whose forced sweep is faster to the sweep.  None means the sweep
+    should run.
     ``toughness`` passes ``ties``, because its sweep also scans the size
     whose cap only ties p/q, for a smaller optimal mask; on a sparse graph
     with a cut vertex that is the largest size it scans.  ``is_t_tough``
@@ -337,7 +367,7 @@ def _dp_steps(g: Graph, alpha: int, p: int, q: int, *, ties: bool = False) -> li
         return None
     steps, widths = _frontier_plan(g)
     bell = _bell_numbers(max(widths) + 1)
-    return steps if sum(3 * bell[w + 1] for w in widths) < sweep else None
+    return steps if _DP_STATE_COST * sum(3 * bell[w + 1] for w in widths) < sweep else None
 
 
 def _place(labels: tuple, nbrs: tuple, keep: tuple, in_cut: bool) -> tuple[tuple, int]:
@@ -648,44 +678,41 @@ def cutsets_of_size(g: Graph, s: int) -> list[VertexSet]:
     """
     if s < 1:
         raise ValueError(f"cut-set size must be positive, got {s}")
-    return sorted(_grown_cuts(g, s, 2)) if s <= g.n - 2 else []
+    return sorted(set(_seed_cuts(_grown_seeds(g, s, 2), s))) if s <= g.n - 2 else []
 
 
-def _grown_cuts(g: Graph, s: int, k: int) -> set[VertexSet]:
-    """Size-s cut-sets (1 <= s <= n - 2), covering every one that leaves at
-    least k components.
+def _grown_seeds(g: Graph, s: int, k: int) -> list[tuple[int, int]]:
+    """(N(C), V minus C and N(C)) as masks, for each connected C with
+    |N(C)| <= s and at most floor((n - s) / k) vertices (1 <= s <= n - 2).
 
-    The sets are built from components; ``_size_cuts`` counts them.  A
-    size-s cut-set S leaving at least k components has a smallest component
-    C in G - S: C is connected, has at most floor((n - s) / k) vertices, and
-    its neighbourhood N(C) lies in S.  So S is N(C) plus s - |N(C)| vertices
-    from outside C and N(C).  Conversely every such set is a cut-set: C is a
-    whole component of G - S, and at least one vertex is left outside C and
-    S.  Each connected C is grown once from its least vertex u, branching on
-    its lowest undecided neighbour, which either joins C (while C is under
-    the size cap) or the boundary X (while X has at most s vertices);
-    neighbours below u can only go to X.  A branch stops once X would pass s
-    even if C took as many undecided neighbours as its cap allows.  A C
-    whose neighbours are all decided has N(C) = X, and yields X with each
-    completion (``_completions``).  A cut-set with several small components
-    comes out once per such component, so the sets are deduplicated.
+    Completed to size s (``_seed_cuts``), the seeds give only cut-sets,
+    and every size-s cut-set that leaves at least k components.  Such a
+    cut-set S has a smallest component C in G - S: C is connected, has at
+    most floor((n - s) / k) vertices, and its neighbourhood N(C) lies in
+    S.  So S is N(C) plus s - |N(C)| vertices from outside C and N(C).
+    Conversely every such set is a cut-set: C is a whole component of
+    G - S, and at least one vertex is left outside C and S.  Each
+    connected C is grown once from its least vertex u, branching on its
+    lowest undecided neighbour, which either joins C (while C is under the
+    size cap) or the boundary X (while X has at most s vertices);
+    neighbours below u can only go to X.  A branch stops once X would pass
+    s even if C took as many undecided neighbours as its cap allows.  A C
+    whose neighbours are all decided has N(C) = X.  A cut-set with several
+    small components is reached from each of them.
     """
     n, adj, full = g.n, g.adj, g.full_mask
     cap = (n - s) // k
-    found: set[int] = set()
-
-    def close(comp: int, bound: int) -> None:
-        found.update(_completions(bound, full & ~(comp | bound), s - bound.bit_count()))
+    seeds: list[tuple[int, int]] = []
 
     def grow(comp: int, size: int, bound: int, front: int, below: int) -> None:
         # front: the neighbours of comp in neither comp nor bound, all above u
         if not front:
-            close(comp, bound)
+            seeds.append((bound, full & ~(comp | bound)))
             return
         if size >= cap:
             bound |= front
             if bound.bit_count() <= s:
-                close(comp, bound)
+                seeds.append((bound, full & ~(comp | bound)))
             return
         if bound.bit_count() + front.bit_count() - (cap - size) > s:
             return
@@ -703,7 +730,7 @@ def _grown_cuts(g: Graph, s: int, k: int) -> set[VertexSet]:
         bound = adj[u] & below
         if bound.bit_count() <= s:
             grow(1 << u, 1, bound, adj[u] & ~below, below)
-    return found
+    return seeds
 
 
 # ---------------------------------------------------------------------------

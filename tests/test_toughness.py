@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -34,12 +35,12 @@ from toughkit.graphs import EnvelopeError, components
 from toughkit.invariants import (
     _dinkelbach,
     _dp_steps,
-    _forced_cuts,
     _frontier_dp,
     _frontier_plan,
-    _grown_cuts,
+    _grown_seeds,
     _isolation_seed,
     _representatives,
+    _seed_cuts,
     _size_cuts,
     _sweep_sizes,
     _sweep_value,
@@ -263,10 +264,10 @@ def test_dp_value_matches_oracle_on_randoms(rng):
         checked += 1
 
 
-# sparse graphs past the corpus pool's n <= 20 that the cost rule sends to
-# the DP, with their (|S|, k, witness): n = 25 at frontier width 10 and
-# n = 24 at width 9
-WIDE_DP_GRAPHS = {
+# sparse graphs past the corpus pool's n <= 20, with their (|S|, k, witness):
+# n = 25 at frontier width 10 and n = 24 at width 9.  Both take the sweep:
+# forced, the DP takes 165-200 and 46-63 ms there, the sweep 10-19 and 24-35 ms
+WIDE_GRAPHS = {
     "XOCgO?S?BAs?X?Aq_BlCCtAiCMxG@GG?EX_CO@_?PT?Gf_H?TA?": (3, 2, mask_of([1, 11, 12])),
     "W?_C_?Lg?O??BJWA?K@_?aOKA?C???TDHKiCGQIHUO?GCdP": (2, 2, mask_of([0, 2])),
 }
@@ -278,14 +279,14 @@ def test_dp_matches_sweep_beyond_the_oracle_range(rng):
     # (|S|, k, lex-min witness)
     cases = [(random_connected_graph(rng.randrange(14, 21), rng, p=rng.choice([0.1, 0.15, 0.2])),
               None) for _ in range(40)]
-    cases += [(parse_graph6(g6), want) for g6, want in WIDE_DP_GRAPHS.items()]
+    cases += [(parse_graph6(g6), want) for g6, want in WIDE_GRAPHS.items()]
     for g, want in cases:
         tables = _union_tables(g.adj, g.n)
         seed = _isolation_seed(g, tables)
         steps, _ = _frontier_plan(g)
         swept = _sweep_value(g, tables, independence_number(g)[0], seed)
         assert _dinkelbach(steps, *seed[:2]) == swept, g.edges()
-        assert want is None or (_dp_chosen(g) and swept == want), g.edges()
+        assert want is None or swept == want, g.edges()
 
 
 JM_VALUES = {3: Fraction(2), 4: Fraction(7, 4), 5: Fraction(2), 6: Fraction(11, 6),
@@ -336,7 +337,10 @@ def test_frontier_plan_matches_naive(rng):
 
 
 def test_cost_rule_sends_jm7_to_dp_and_dense_randoms_to_sweep(rng):
-    assert _dp_chosen(build_jm(7).graph)
+    # forced sweeps take J_6 13-25 ms, J_7 0.10-0.18 s and J_9 6.5-8.5 s,
+    # against 3-11 ms on the DP
+    for m in range(6, 14):
+        assert _dp_chosen(build_jm(m).graph), m
     for n in range(14, 21):
         g = random_connected_graph(n, rng, p=0.45)
         assert not _dp_chosen(g), g.edges()
@@ -347,13 +351,14 @@ def test_toughness_sweep_estimate_counts_the_tie_size(monkeypatch):
     # ratio; is_t_tough's stops before it, since a violation is strict
     assert list(_sweep_sizes(20, 10, 1, 2, ties=True)) == [1, 2, 3, 4, 5]
     assert list(_sweep_sizes(20, 10, 1, 2)) == [1, 2, 3, 4]
-    # n = 20, kappa = 1, alpha = 10: the seed ratio is 1/2 and the tie size
-    # 5 is most of the sweep, which the DP undercuts
-    g = parse_graph6("S?SC?GRcXPOhAAOgKC??_gACGW_@_A???")
+    # n = 22, kappa = 1, alpha = 10: the seed {14} has ratio 1/2, and the tie
+    # size 5 (26 334 of 35 442 subsets) tips the estimate to the DP, which
+    # finds the smaller optimal mask {3} (forced: DP 1.2-1.3 ms, sweep 3.8-4.6 ms)
+    g = parse_graph6("U??G?d?_OE?c?@I?A?D?_??G??@?G?_?g?a@Oa??")
     alpha, _ = independence_number(g)
     tables = _union_tables(g.adj, g.n)
     seed = _isolation_seed(g, tables)
-    assert (g.n, connectivity(g).kappa, alpha, seed[:2]) == (20, 1, 10, (1, 2))
+    assert (g.n, connectivity(g).kappa, alpha, seed) == (22, 1, 10, (1, 2, 1 << 14))
     assert _dp_chosen(g)
     assert _dp_steps(g, alpha, *seed[:2]) is None
     swept = _sweep_value(g, tables, alpha, seed)
@@ -361,12 +366,24 @@ def test_toughness_sweep_estimate_counts_the_tie_size(monkeypatch):
     def no_sweep(*args):
         raise AssertionError("toughness swept a graph its cost rule sends to the DP")
 
-    monkeypatch.setattr(invariants, "_sweep_value", no_sweep)
+    with monkeypatch.context() as m:
+        m.setattr(invariants, "_sweep_value", no_sweep)
+        cert = toughness(g)
+    assert swept == (1, 2, cert.witness_cut) == (1, 2, 1 << 3)
+    # n = 20, kappa = 1, alpha = 10: the tie size 5 is most of the sweep
+    # estimate, but the sweep runs (forced: DP 3.2-4.8 ms, sweep 0.4-0.5 ms); both
+    # paths give the same certificate
+    g = parse_graph6("S?SC?GRcXPOhAAOgKC??_gACGW_@_A???")
+    alpha, _ = independence_number(g)
+    tables = _union_tables(g.adj, g.n)
+    seed = _isolation_seed(g, tables)
+    assert (g.n, connectivity(g).kappa, alpha, seed[:2]) == (20, 1, 10, (1, 2))
     cert = toughness(g)
     assert toughness_json(cert) == {
         "invariant": "toughness", "value": {"num": 1, "den": 2}, "witness": [1], "components": 2,
     }
-    assert swept == (1, 2, cert.witness_cut)
+    steps, _ = _frontier_plan(g)
+    assert _dinkelbach(steps, *seed[:2]) == _sweep_value(g, tables, alpha, seed) == (1, 2, 0b10)
 
 
 def test_cost_rule_skips_the_ordering_for_small_sweeps(monkeypatch):
@@ -379,14 +396,14 @@ def test_cost_rule_skips_the_ordering_for_small_sweeps(monkeypatch):
 
 
 def test_state_ceiling_falls_back_to_the_sweep(monkeypatch):
-    g = build_jm(5).graph
+    g = build_jm(6).graph
     assert _dp_chosen(g)
     want = toughness(g)
     monkeypatch.setattr(invariants, "_DP_MAX_STATES", 10)
     steps, _ = _frontier_plan(g)
     assert _dinkelbach(steps, *_seed(g)[:2]) is None
     assert toughness(g) == want
-    assert is_t_tough(g, 2) == (True, None)
+    assert is_t_tough(g, Fraction(11, 6)) == (True, None)
 
 
 def test_state_ceiling_counts_labels_with_capped_count(monkeypatch):
@@ -428,19 +445,72 @@ def test_forcing_lemma_walk_covers_every_separating_set(rng):
         tables = _union_tables(g.adj, n)
         chosen_reps: dict = {}
         for k in range(2, independence_number(g)[0] + 1):
-            reps = _representatives(g.adj, n, k)
             for s in range(1, n - 1):
                 want = {mask_of(c) for c in cutsets_naive(g, s, k)}
-                walked = set(_forced_cuts(reps, s))
+                walked = set(_seed_cuts(_representatives(g, s, k), s))
                 counted = list(_size_cuts(g, tables, s, k, chosen_reps))
                 chosen = {x for x, _ in counted}
-                grown = _grown_cuts(g, s, k)
+                grown = set(_seed_cuts(_grown_seeds(g, s, k), s))
                 assert want <= walked, (g.edges(), s, k, want - walked)
                 assert want <= chosen, (g.edges(), s, k, want - chosen)
                 assert want <= grown, (g.edges(), s, k, want - grown)
                 assert all(len(components(g, x)) >= 2 for x in grown), (g.edges(), s, k)
                 assert chosen == want and all(c == len(components(g, x)) for x, c in counted), \
                     (g.edges(), s, k, chosen ^ want)
+
+
+def _spy_counts(monkeypatch):
+    """Count _count_components calls, keyed by the size _size_cuts last took."""
+    calls = {}
+    size = [None]
+    count, size_cuts = invariants._count_components, invariants._size_cuts
+
+    def spy_count(alive, tables):
+        calls[size[0]] = calls.get(size[0], 0) + 1
+        return count(alive, tables)
+
+    def spy_size_cuts(g, tables, s, k, reps):
+        size[0] = s
+        return size_cuts(g, tables, s, k, reps)
+
+    monkeypatch.setattr(invariants, "_count_components", spy_count)
+    monkeypatch.setattr(invariants, "_size_cuts", spy_size_cuts)
+    return calls
+
+
+def test_toughness_component_count_work_is_pinned(monkeypatch):
+    # the exact work of the walk choice and the route, free of timing noise:
+    # 7 210 calls when every walk was measured against C(n, s); and the
+    # forcing-lemma seeds listed, 9 252 without the size bound on F(I)
+    graphs = [build_jm(m).graph for m in range(3, 14)]
+    rng = random.Random(2026)
+    graphs += [random_connected_graph(n, rng, p=p)
+               for n in range(12, 19) for p in (0.15, 0.3, 0.45)]
+    calls = _spy_counts(monkeypatch)
+    listed = []
+    representatives = invariants._representatives
+    monkeypatch.setattr(invariants, "_representatives",
+                        lambda g, s, k: listed.append(representatives(g, s, k)) or listed[-1])
+    for g in graphs:
+        toughness(g)
+    assert (sum(calls.values()), sum(map(len, listed))) == (2345, 1138)
+
+
+def test_is_t_tough_sizes_below_kappa_cost_at_most_n_counts(rng, monkeypatch):
+    # no cut-set is smaller than kappa, so below it the growth walk proposes
+    # nothing and the forcing walk runs only when it proposes at most n sets
+    below = 0
+    for _ in range(30):
+        n = rng.randrange(10, 15)
+        g = random_connected_graph(n, rng, p=rng.choice([0.4, 0.55, 0.7]))
+        kappa = connectivity(g).kappa
+        with monkeypatch.context() as m:
+            calls = _spy_counts(m)
+            is_t_tough(g, Fraction(kappa, 2))
+        for s in range(1, kappa):
+            assert calls.get(s, 0) <= n, (g.edges(), s, calls)
+            below += s in calls
+    assert below
 
 
 def test_is_t_tough_matches_first_violation_oracle(rng):
