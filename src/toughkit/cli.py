@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import random
 import sys
 
-from .formats import ParseError, parse_edge_list, parse_graph6, serialize_edge_list, serialize_graph6, to_dot
+from .formats import (ParseError, json_text, parse_edge_list, parse_graph6, serialize_edge_list,
+                      serialize_graph6, to_dot)
 from .generators import (LabeledGraph, build_jm, complete, cycle, cycle_power, path, petersen,
                          random_connected_graph, star)
 from .graphs import EnvelopeError, Graph, bits
@@ -61,10 +61,6 @@ def _verdict_text(verdict: str, stream) -> str:
         return verdict
     code = "32" if verdict == "PASS" else "31"
     return f"\x1b[{code}m{verdict}\x1b[0m"
-
-
-def _json_text(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def _parse_m_range(text: str):
@@ -122,7 +118,7 @@ def _graph_json(g: Graph, names: list[str] | None) -> str:
     payload = {"n": g.n, "edges": [[u, v] for u, v in g.edges()]}
     if names is not None:
         payload["names"] = names
-    return _json_text(payload)
+    return json_text(payload)
 
 
 # gen --format name -> writer of (graph, vertex names or None) -> text
@@ -204,7 +200,7 @@ def cmd_invariant(args) -> int:
     if args.format == "table":
         sys.stdout.write(_invariant_table(payload))
     else:
-        sys.stdout.write(_json_text(payload))
+        sys.stdout.write(json_text(payload))
     return OK
 
 
@@ -272,7 +268,7 @@ def cmd_census(args) -> int:
     if args.format == "table":
         sys.stdout.write(_census_table(payload))
     else:
-        sys.stdout.write(_json_text(payload))
+        sys.stdout.write(json_text(payload))
     if args.strict and payload["errors"]:
         _err(f"{len(payload['errors'])} input line(s) rejected")
         return PARSE
@@ -295,7 +291,7 @@ def cmd_corpus(args) -> int:
         n = rng.randrange(args.min_n, args.max_n + 1)
         out.append(serialize_graph6(random_connected_graph(n, rng, args.p)))
     if args.format == "json":
-        sys.stdout.write(_json_text({"count": len(out), "graphs": out, "seed": args.seed}))
+        sys.stdout.write(json_text({"count": len(out), "graphs": out, "seed": args.seed}))
     else:
         sys.stdout.write("".join(line + "\n" for line in out))
     return OK

@@ -1,4 +1,4 @@
-"""graph6, edge-list and DOT encoding.
+"""graph6, edge-list, DOT and JSON encoding.
 
 graph6 here is the standard bit-exact format: header byte n+63 (n <= 62
 only), then the upper triangle in column-major order, 6 bits per byte,
@@ -7,6 +7,8 @@ body, trailing bytes and nonzero padding are all distinct errors.
 """
 
 from __future__ import annotations
+
+import json
 
 from .graphs import EnvelopeError, Graph
 
@@ -23,6 +25,10 @@ class EdgeListError(ParseError):
     pass
 
 
+# each graph6 data character as its 6 bits, most significant first
+_BITS = str.maketrans({chr(63 + x): f"{x:06b}" for x in range(64)})
+
+
 def parse_graph6(text: str) -> Graph:
     """Decode one graph6 line."""
     s = text
@@ -32,31 +38,34 @@ def parse_graph6(text: str) -> Graph:
         s = s[:-1]
     if not s:
         raise Graph6Error("empty graph6 string")
-    for ch in s:
-        if not 63 <= ord(ch) <= 126:
-            raise Graph6Error(f"byte {ch!r} outside the graph6 alphabet")
+    if min(s) < "?" or max(s) > "~":
+        ch = next(ch for ch in s if not "?" <= ch <= "~")
+        raise Graph6Error(f"byte {ch!r} outside the graph6 alphabet")
     n = ord(s[0]) - 63
     if n == 63:
         raise Graph6Error("multi-byte order prefix (n > 62) not supported")
     if n == 0:
         raise Graph6Error("order-0 graph not representable here")
-    nbits = n * (n - 1) // 2
-    need = (nbits + 5) // 6
+    need = (n * (n - 1) // 2 + 5) // 6
     body = s[1:]
     if len(body) < need:
         raise Graph6Error(f"truncated: expected {need} data bytes, got {len(body)}")
     if len(body) > need:
         raise Graph6Error(f"trailing garbage after {need} data bytes")
+    # the data bits as one integer, the first bit lowest: column j (the
+    # pairs (i, j) for i < j) is the next j bits, with bit i for the pair (i, j)
+    stream = int(body.translate(_BITS)[::-1] or "0", 2)
     rows = [0] * n
-    cursor = 0
     for j in range(1, n):
-        for i in range(j):
-            if (ord(body[cursor // 6]) - 63) >> (5 - cursor % 6) & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            cursor += 1
-    tail = nbits % 6
-    if need and tail and (ord(body[-1]) - 63) & ((1 << (6 - tail)) - 1):
+        col = stream & ((1 << j) - 1)
+        stream >>= j
+        rows[j] = col
+        bit = 1 << j
+        while col:
+            low = col & -col
+            rows[low.bit_length() - 1] |= bit
+            col ^= low
+    if stream:
         raise Graph6Error("nonzero padding bits")
     return Graph(n, tuple(rows))
 
@@ -142,3 +151,13 @@ def to_dot(g: Graph, names: list[str] | None = None) -> str:
         lines.append(f"  {names[u]} -- {names[v]};")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def json_text(payload) -> str:
+    """The one JSON text of every JSON output: sorted keys, indent 2, newline end.
+
+    Every payload is a tree built fresh for the call, so the encoder's
+    cycle check (per-container bookkeeping in the pure-Python encoder that
+    ``indent`` selects) is skipped; the bytes are the same.
+    """
+    return json.dumps(payload, sort_keys=True, indent=2, check_circular=False) + "\n"

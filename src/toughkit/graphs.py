@@ -57,10 +57,15 @@ class Graph:
                 raise ValueError(f"row {v} mentions vertices >= n={self.n}")
             if row >> v & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-        for v in range(self.n):
-            for u in bits(self.adj[v]):
-                if not self.adj[u] >> v & 1:
+        adj = self.adj
+        for v, row in enumerate(adj):
+            bit = 1 << v
+            while row:
+                low = row & -row
+                u = low.bit_length() - 1
+                if not adj[u] & bit:
                     raise ValueError(f"asymmetric edge ({v}, {u})")
+                row ^= low
 
     @property
     def full_mask(self) -> int:

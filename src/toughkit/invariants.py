@@ -68,16 +68,14 @@ class StarInstance:
 # component counting tuned for the subset sweeps
 
 def _union_tables(adj: tuple[int, ...], n: int) -> list[list[int]]:
-    # tables[c][byte] = union of neighborhoods of the byte's vertices in chunk c
-    nchunks = (n + 7) >> 3
+    # tables[c][byte] = union of neighborhoods of the byte's vertices in chunk c;
+    # the last chunk's table stops at its width, which no mask of g passes
     tables = []
-    for c in range(nchunks):
-        base = c << 3
-        width = min(8, n - base)
-        tbl = [0] * 256
-        for byte in range(1, 1 << width):
-            low = byte & (byte - 1)
-            tbl[byte] = tbl[low] | adj[base + (byte & -byte).bit_length() - 1]
+    for base in range(0, n, 8):
+        tbl = [0]
+        for v in range(base, min(base + 8, n)):
+            row = adj[v]
+            tbl += [x | row for x in tbl]
         tables.append(tbl)
     return tables
 
@@ -307,19 +305,19 @@ _DP_STATE_COST = 8
 _DP_MAX_STATES = 1 << 16
 
 
-def _frontier_plan(g: Graph) -> tuple[list[tuple], list[int]]:
-    """Greedy minimum-frontier vertex ordering, as DP steps and widths.
+def _frontier_plan(g: Graph):
+    """Greedy minimum-frontier vertex ordering, as (DP step, width) pairs.
 
     Each step places the unplaced vertex that leaves the smallest frontier,
     breaking ties by most placed neighbours, then by vertex id.  A step is
     (frontier positions of the new vertex's neighbours, positions of the
     grown frontier that stay in it, the new vertex's bit); the width is the
-    frontier size after it.
+    frontier size after it.  The pairs come one placement at a time, so a
+    caller can stop the ordering early.
     """
     n, adj = g.n, g.adj
     placed = 0
     front: list[int] = []
-    steps, widths = [], []
     for _ in range(n):
         # placing v closes its neighbours in ``single`` (frontier vertices with
         # one unplaced neighbour), and v itself when it has no unplaced one
@@ -329,22 +327,19 @@ def _frontier_plan(g: Graph) -> tuple[list[tuple], list[int]]:
         placed |= 1 << v
         grown = front + [v]
         keep = tuple(i for i, u in enumerate(grown) if adj[u] & ~placed)
-        steps.append((tuple(i for i, u in enumerate(front) if adj[v] >> u & 1), keep, 1 << v))
+        yield (tuple(i for i, u in enumerate(front) if adj[v] >> u & 1), keep, 1 << v), len(keep)
         front = [grown[i] for i in keep]
-        widths.append(len(front))
-    return steps, widths
 
 
-def _bell_numbers(top: int) -> list[int]:
-    """Bell numbers B_0..B_top by the Bell triangle."""
-    out, row = [1], [1]
-    for _ in range(top):
+def _bell_numbers():
+    """Bell numbers B_0, B_1, ... by the Bell triangle."""
+    row = [1]
+    while True:
+        yield row[0]
         nxt = [row[-1]]
         for x in row:
             nxt.append(nxt[-1] + x)
         row = nxt
-        out.append(row[0])
-    return out
 
 
 def _dp_steps(g: Graph, alpha: int, p: int, q: int, *, ties: bool = False) -> list[tuple] | None:
@@ -356,7 +351,9 @@ def _dp_steps(g: Graph, alpha: int, p: int, q: int, *, ties: bool = False) -> li
     is at most 3 * Bell(w + 1) states per step of frontier width w, each
     weighted as ``_DP_STATE_COST`` subsets; the weight is what sends the
     graphs whose forced sweep is faster to the sweep.  None means the sweep
-    should run.
+    should run.  The DP's estimate is summed as the ordering is built, and
+    it only grows, so the ordering stops at the first step where the sum
+    reaches the sweep's: the route is the one the whole ordering gives.
     ``toughness`` passes ``ties``, because its sweep also scans the size
     whose cap only ties p/q, for a smaller optimal mask; on a sparse graph
     with a cut vertex that is the largest size it scans.  ``is_t_tough``
@@ -365,9 +362,16 @@ def _dp_steps(g: Graph, alpha: int, p: int, q: int, *, ties: bool = False) -> li
     sweep = sum(comb(g.n, s) for s in _sweep_sizes(g.n, alpha, p, q, ties=ties))
     if sweep < _DP_MIN_SWEEP_WORK:
         return None
-    steps, widths = _frontier_plan(g)
-    bell = _bell_numbers(max(widths) + 1)
-    return steps if _DP_STATE_COST * sum(3 * bell[w + 1] for w in widths) < sweep else None
+    steps, dp = [], 0
+    bell, more = [], _bell_numbers()
+    for step, w in _frontier_plan(g):
+        while len(bell) <= w + 1:
+            bell.append(next(more))
+        dp += _DP_STATE_COST * 3 * bell[w + 1]
+        if dp >= sweep:
+            return None
+        steps.append(step)
+    return steps
 
 
 def _place(labels: tuple, nbrs: tuple, keep: tuple, in_cut: bool) -> tuple[tuple, int]:
@@ -549,10 +553,17 @@ def _disjoint_paths(adj: tuple[VertexSet, ...], s: int, t: int,
     v carries a path; an entry reaches only v's exit when v carries none,
     else pred[v]'s exit.  When no path is left, the separator is the set of
     vertices whose entry is reachable and whose exit is not; that reachable
-    set is the same for every maximum flow (Picard and Queyranne).
+    set is the same for every maximum flow (Picard and Queyranne), so the
+    flow may start from any paths: it starts from s-c-t for each common
+    neighbour c, and a pair with at least ``cap`` of them needs no search.
     """
     pred: dict[int, int] = {}
-    flow = 0
+    common = adj[s] & adj[t]
+    while common and len(pred) != cap:
+        low = common & -common
+        common ^= low
+        pred[low.bit_length() - 1] = s
+    flow = len(pred)
     while flow != cap:
         entered: dict[int, int] = {}  # entry -> the exit it was reached from
         left = {s: s}  # exit -> the entry it was reached through
@@ -562,7 +573,10 @@ def _disjoint_paths(adj: tuple[VertexSet, ...], s: int, t: int,
             new = adj[x] | (1 << x if x in pred else 0)
             new &= ~seen
             seen |= new
-            for u in bits(new):
+            while new:
+                low = new & -new
+                new ^= low
+                u = low.bit_length() - 1
                 entered[u] = x
                 w = pred.get(u, u)
                 if w not in left:
@@ -597,7 +611,15 @@ def independence_number(g: Graph) -> tuple[int, VertexSet]:
 
     Branch and bound on bitmasks: branch on a maximum-degree vertex of the
     candidate set, prune when even taking everything left cannot beat the
-    incumbent.  Deterministic, so the witness is stable run to run.
+    incumbent, or when the candidates are covered by no more cliques than
+    that (an independent set meets each clique at most once; the colouring
+    bound of maximum-clique search, on the complement).  The cover is
+    greedy: a clique grown from the lowest candidate by its lowest common
+    neighbours, repeated on what is left.  Both prunes cut only subtrees
+    that cannot strictly beat the incumbent, and the pivot rule does not
+    read it, so the search meets its improvements, and records its witness,
+    exactly as the search without them would.  Deterministic, so the
+    witness is stable run to run.
     """
     n, adj = g.n, g.adj
     closed = [adj[v] | 1 << v for v in range(n)]
@@ -607,7 +629,20 @@ def independence_number(g: Graph) -> tuple[int, VertexSet]:
     def expand(cand: int, cur: int, size: int) -> None:
         nonlocal best_size, best_set
         while cand:
-            if size + cand.bit_count() <= best_size:
+            room = best_size - size
+            if cand.bit_count() <= room:
+                return
+            rest, cliques = cand, 0
+            while rest and cliques <= room:
+                low = rest & -rest
+                clique, common = low, adj[low.bit_length() - 1] & rest
+                while common:
+                    low = common & -common
+                    clique |= low
+                    common &= adj[low.bit_length() - 1]
+                rest &= ~clique
+                cliques += 1
+            if cliques <= room:
                 return
             pivot, pdeg = -1, -1
             m = cand
@@ -772,8 +807,13 @@ def independence_json(alpha: int, witness: VertexSet) -> dict:
 
 
 def stars_json(stars: list[StarInstance]) -> dict:
-    return {
-        "invariant": "claws",
-        "count": len(stars),
-        "stars": [{"center": s.center, "leaves": list(bits(s.leaves))} for s in stars],
-    }
+    out = []
+    for s in stars:
+        # list(bits(...)) inline: a generator per star costs more than the walk
+        leaves, m = [], s.leaves
+        while m:
+            low = m & -m
+            leaves.append(low.bit_length() - 1)
+            m ^= low
+        out.append({"center": s.center, "leaves": leaves})
+    return {"invariant": "claws", "count": len(stars), "stars": out}

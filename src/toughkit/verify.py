@@ -14,13 +14,13 @@ hypothesis.  Only ``run_claim`` and ``build_tasks`` read a hypothesis.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
+from .formats import json_text
 from .generators import LabeledGraph, build_jm, complete, cycle, cycle_power, line_graph, petersen
 from .graphs import Graph, bits, mask_of
 from .invariants import (
@@ -369,5 +369,4 @@ def run_ledger(m_values=None, claims=None, odd_only: bool = False,
 
 def ledger_json(reports: list[ClaimReport]) -> str:
     """Stable JSON for a ledger: sorted keys, fixed list order, newline end."""
-    payload = [r.to_json_dict() for r in reports]
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json_text([r.to_json_dict() for r in reports])

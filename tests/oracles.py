@@ -78,18 +78,25 @@ def connectivity_witness_naive(g: Graph) -> tuple[int, int]:
     pairs += [(x, y) for x, y in combinations(sorted(nbrs[v]), 2) if y not in nbrs[x]]
     witness = None
     for s, t in pairs:
-        rest = [u for u in range(g.n) if u not in (s, t)]
-        found = []  # (size of the component of s, separator) at the least size
-        for size in range(len(rest) + 1):
-            for cut in combinations(rest, size):
-                side = next(c for c in components_naive(g, frozenset(cut)) if s in c)
-                if t not in side:
-                    found.append((len(side), cut))
-            if found:
-                break
-        if witness is None or size < len(witness):
-            witness = min(found)[1]
-    return len(witness), sum(1 << u for u in witness)
+        size, cut = separator_naive(g, s, t)
+        if witness is None or size < witness[0]:
+            witness = size, cut
+    return witness
+
+
+def separator_naive(g: Graph, s: int, t: int) -> tuple[int, int]:
+    """(size, mask) of the smallest s-t separator of non-adjacent s and t
+    that leaves the fewest vertices in the component of s, by brute force."""
+    rest = [u for u in range(g.n) if u not in (s, t)]
+    for size in range(len(rest) + 1):
+        found = []  # (size of the component of s, separator)
+        for cut in combinations(rest, size):
+            side = next(c for c in components_naive(g, frozenset(cut)) if s in c)
+            if t not in side:
+                found.append((len(side), cut))
+        if found:
+            return size, sum(1 << u for u in min(found)[1])
+    raise AssertionError("s and t are adjacent")
 
 
 def is_independent_naive(g: Graph, vertices) -> bool:
@@ -187,6 +194,59 @@ def frontier_plan_naive(g: Graph) -> tuple[list[tuple], list[int]]:
         front = [grown[i] for i in keep]
         widths.append(len(front))
     return steps, widths
+
+
+def graph6_rows_naive(text: str) -> tuple[int, ...]:
+    """Adjacency rows of one graph6 line, read bit by bit; a ValueError
+    carries the message ``parse_graph6`` must give for a malformed line.
+
+    The checks run in the order the parser's errors are documented: empty,
+    alphabet, header, length, then padding after the body is read.
+    """
+    s = text
+    if s.endswith("\n"):
+        s = s[:-1]
+    if s.endswith("\r"):
+        s = s[:-1]
+    if not s:
+        raise ValueError("empty graph6 string")
+    for ch in s:
+        if not 63 <= ord(ch) <= 126:
+            raise ValueError(f"byte {ch!r} outside the graph6 alphabet")
+    n = ord(s[0]) - 63
+    if n == 63:
+        raise ValueError("multi-byte order prefix (n > 62) not supported")
+    if n == 0:
+        raise ValueError("order-0 graph not representable here")
+    nbits = n * (n - 1) // 2
+    need = (nbits + 5) // 6
+    body = s[1:]
+    if len(body) < need:
+        raise ValueError(f"truncated: expected {need} data bytes, got {len(body)}")
+    if len(body) > need:
+        raise ValueError(f"trailing garbage after {need} data bytes")
+    rows = [0] * n
+    cursor = 0
+    for j in range(1, n):
+        for i in range(j):
+            if (ord(body[cursor // 6]) - 63) >> (5 - cursor % 6) & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+            cursor += 1
+    tail = nbits % 6
+    if need and tail and (ord(body[-1]) - 63) & ((1 << (6 - tail)) - 1):
+        raise ValueError("nonzero padding bits")
+    return tuple(rows)
+
+
+def first_asymmetry_naive(rows: tuple[int, ...]):
+    """The first (v, u) in (v, u) order with u in row v but v not in row u, or None."""
+    n = len(rows)
+    for v in range(n):
+        for u in range(n):
+            if rows[v] >> u & 1 and not rows[u] >> v & 1:
+                return v, u
+    return None
 
 
 def cutsets_naive(g: Graph, s: int, k: int = 2) -> set[frozenset]:

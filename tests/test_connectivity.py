@@ -3,9 +3,9 @@ import pytest
 from toughkit import bits, build_jm, connectivity, from_edges
 from toughkit.generators import complete, cycle, path, petersen, random_connected_graph, star
 from toughkit.graphs import components
-from toughkit.invariants import connectivity_json
+from toughkit.invariants import _disjoint_paths, connectivity_json
 
-from oracles import connectivity_naive, connectivity_witness_naive
+from oracles import connectivity_naive, connectivity_witness_naive, separator_naive
 
 
 @pytest.mark.parametrize("build,kappa", [
@@ -70,6 +70,27 @@ def test_witness_matches_naive_oracle(rng):
             continue
         cert = connectivity(g)
         assert (cert.kappa, cert.witness_cut) == connectivity_witness_naive(g), g.edges()
+
+
+def test_pair_flow_and_separator_match_naive(rng):
+    # every non-adjacent pair, with and without a cap: the flow starts from
+    # the paths through common neighbours, which dense graphs have in
+    # numbers at and past the cap, and the separator nearest s must not move
+    pairs = 0
+    for _ in range(12):
+        n = rng.randrange(5, 10)
+        g = random_connected_graph(n, rng, p=rng.choice([0.35, 0.6, 0.8]))
+        for s in range(n):
+            for t in range(n):
+                if s == t or g.has_edge(s, t):
+                    continue
+                pairs += 1
+                flow, cut = separator_naive(g, s, t)
+                assert _disjoint_paths(g.adj, s, t, None) == (flow, cut), (g.edges(), s, t)
+                for cap in range(1, flow + 2):
+                    want = (cap, None) if cap <= flow else (flow, cut)
+                    assert _disjoint_paths(g.adj, s, t, cap) == want, (g.edges(), s, t, cap)
+    assert pairs > 50
 
 
 def test_kappa_matches_networkx(rng):

@@ -13,6 +13,8 @@ from toughkit import (
 )
 from toughkit.generators import complete, cycle, petersen, star
 
+from oracles import graph6_rows_naive
+
 
 def random_graph(rng, n, p):
     return from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
@@ -30,12 +32,47 @@ def test_graph6_hand_vectors():
 
 
 def test_graph6_roundtrip_corpus(rng):
-    for _ in range(300):
-        n = rng.randrange(1, 40)
-        g = random_graph(rng, n, rng.choice([0.1, 0.5, 0.9]))
-        assert parse_graph6(serialize_graph6(g)).adj == g.adj
-    for g in (petersen(), cycle(3), star(5), complete(10)):
-        assert parse_graph6(serialize_graph6(g)).adj == g.adj
+    # every order graph6 holds here, empty to complete: the parse gives the
+    # graph back and agrees with the bit-by-bit reference decoder
+    graphs = [random_graph(rng, n, p) for n in range(1, 63)
+              for p in (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0)]
+    for g in graphs + [petersen(), cycle(3), star(5), complete(10)]:
+        text = serialize_graph6(g)
+        assert parse_graph6(text).adj == g.adj == graph6_rows_naive(text), text
+
+
+def _graph6_outcome(parse, text, error):
+    """("rows", adjacency rows) or ("error", message) of one parse."""
+    try:
+        return "rows", parse(text)
+    except error as err:
+        return "error", str(err)
+
+
+def test_graph6_errors_and_rows_match_the_reference_parser(rng):
+    # hand cases for each error, then seeded near-valid lines: a header
+    # byte around the valid range, a body of about the right length and
+    # now and then a byte outside the alphabet
+    texts = ["", "\n", "\r\n", "B\x19", "Bw\x7f", "B\xe9", "\x19Bw", "~??", "?", "?\n",
+             "B", "Bww", "Bx", "Bw\n", "Bw\r\n", "Bw\r", "Bw\n\n", "@", "@?", "A", "A_", "A`"]
+    for _ in range(3000):
+        n = rng.randrange(-2, 66)
+        need = max(0, (n * (n - 1) // 2 + 5) // 6)
+        body = [chr(rng.randrange(63, 127)) for _ in range(max(0, need + rng.choice([-1, 0, 0, 0, 1])))]
+        if body and rng.random() < 0.1:
+            body[rng.randrange(len(body))] = rng.choice(["\x3e", "\x7f", " ", "\n", "\xff"])
+        pad = -(n * (n - 1) // 2) % 6  # padding bits in the last data byte
+        if body and "?" <= body[-1] <= "~" and rng.random() < 0.5:
+            body[-1] = chr(63 + ((ord(body[-1]) - 63) >> pad << pad))
+        texts.append(chr(63 + n) + "".join(body) + rng.choice(["", "", "\n", "\r\n"]))
+    kinds = set()
+    for text in texts:
+        want = _graph6_outcome(graph6_rows_naive, text, ValueError)
+        got = _graph6_outcome(lambda t: parse_graph6(t).adj, text, Graph6Error)
+        assert got == want, repr(text)
+        kinds.add(want[0] if want[0] == "rows" else want[1].split()[0])
+    assert kinds == {"rows", "empty", "byte", "multi-byte", "order-0", "truncated:", "trailing",
+                     "nonzero"}
 
 
 def test_graph6_accepts_trailing_newline():

@@ -3,7 +3,7 @@ import pytest
 from toughkit import Graph, bits, complement, components, from_edges, mask_of, relabel
 from toughkit.graphs import is_connected
 
-from oracles import components_naive
+from oracles import components_naive, first_asymmetry_naive
 
 
 def test_mask_helpers():
@@ -45,6 +45,34 @@ def test_graph_validates_adjacency():
         Graph(2, (0b10, 0b00))  # asymmetric
     with pytest.raises(ValueError):
         Graph(2, (0b100, 0b00))  # neighbor out of range
+
+
+def test_graph_names_the_first_asymmetric_edge(rng):
+    # symmetric rows with a few bits flipped: the error names the first
+    # (v, u) in (v, u) order whose mirror is missing, and symmetric rows pass
+    asymmetric = 0
+    for _ in range(400):
+        n = rng.randrange(2, 40)
+        p = rng.choice([0.1, 0.5, 0.9])
+        rows = [0] * n
+        for u in range(n):
+            for v in range(u + 1, n):
+                if rng.random() < p:
+                    rows[u] |= 1 << v
+                    rows[v] |= 1 << u
+        for _ in range(rng.randrange(3)):
+            v, u = rng.sample(range(n), 2)
+            rows[v] ^= 1 << u
+        rows = tuple(rows)
+        first = first_asymmetry_naive(rows)
+        if first is None:
+            assert Graph(n, rows).adj == rows
+            continue
+        asymmetric += 1
+        with pytest.raises(ValueError) as err:
+            Graph(n, rows)
+        assert str(err.value) == f"asymmetric edge ({first[0]}, {first[1]})"
+    assert asymmetric > 100
 
 
 def test_is_complete():

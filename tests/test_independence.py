@@ -30,6 +30,22 @@ def test_frozen_alpha(build, alpha):
                for v in members[i + 1:])
 
 
+# (alpha, witness) on J_9..J_19 as the branch and bound gave them before the
+# clique-cover prune (J_19 took 8.1 s then): the prune cuts only subtrees
+# that cannot strictly beat the incumbent, so no witness may move
+JM_ALPHA = {
+    9: (8, 0x429449), 10: (10, 0xaa955), 11: (10, 0x42a5249), 12: (12, 0xaaa555),
+    13: (12, 0x241494a49), 14: (14, 0xaaa9555), 15: (14, 0x12429251249),
+    16: (16, 0xaaaa5555), 17: (16, 0x1242a4949249), 18: (18, 0xaaaa95555),
+    19: (18, 0x9241492529249),
+}
+
+
+@pytest.mark.parametrize("m", sorted(JM_ALPHA))
+def test_jm_alpha_witness_is_pinned(m):
+    assert independence_number(build_jm(m).graph) == JM_ALPHA[m]
+
+
 def test_matches_naive_on_randoms(rng):
     for _ in range(40):
         n = rng.randrange(1, 10)
@@ -58,3 +74,21 @@ def test_json_shape():
     assert payload["invariant"] == "independence"
     assert payload["value"] == {"num": 2, "den": 1}
     assert len(payload["witness"]) == 2
+
+
+def test_alpha_matches_networkx(rng):
+    # past the brute-force oracle's n < 10, where the clique-cover prune
+    # cuts most: alpha against networkx's maximum clique of the complement
+    nx = pytest.importorskip("networkx")
+    for _ in range(60):
+        n, p = rng.randrange(12, 31), rng.choice([0.1, 0.3, 0.5])
+        g = from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        h = nx.Graph()
+        h.add_nodes_from(range(n))
+        h.add_edges_from(g.edges())
+        clique, size = nx.max_weight_clique(nx.complement(h), weight=None)
+        alpha, witness = independence_number(g)
+        assert alpha == size == len(clique), g.edges()
+        members = list(bits(witness))
+        assert len(members) == alpha
+        assert all(not g.has_edge(u, v) for i, u in enumerate(members) for v in members[i + 1:])

@@ -4,6 +4,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -235,9 +236,15 @@ def _seed(g):
     return _isolation_seed(g, _union_tables(g.adj, g.n))
 
 
+def _plan(g):
+    """The whole greedy ordering, as (steps, widths)."""
+    pairs = list(_frontier_plan(g))
+    return [step for step, _ in pairs], [width for _, width in pairs]
+
+
 def _dp_result(g):
     """(value, witness, k) from Dinkelbach's iteration on the DP alone."""
-    steps, _ = _frontier_plan(g)
+    steps, _ = _plan(g)
     s, k, witness = _dinkelbach(steps, *_seed(g)[:2])
     return Fraction(s, k), witness, k
 
@@ -283,7 +290,7 @@ def test_dp_matches_sweep_beyond_the_oracle_range(rng):
     for g, want in cases:
         tables = _union_tables(g.adj, g.n)
         seed = _isolation_seed(g, tables)
-        steps, _ = _frontier_plan(g)
+        steps, _ = _plan(g)
         swept = _sweep_value(g, tables, independence_number(g)[0], seed)
         assert _dinkelbach(steps, *seed[:2]) == swept, g.edges()
         assert want is None or swept == want, g.edges()
@@ -322,7 +329,7 @@ def test_jm_certificates_are_pinned(m):
 def test_jm_frontier_stays_narrow():
     # J_m has a width-5 path decomposition, so the DP is linear in m
     for m in (5, 9, 13):
-        assert max(_frontier_plan(build_jm(m).graph)[1]) <= 5
+        assert max(_plan(build_jm(m).graph)[1]) <= 5
 
 
 def test_frontier_plan_matches_naive(rng):
@@ -333,7 +340,7 @@ def test_frontier_plan_matches_naive(rng):
                                       p=rng.choice([0.1, 0.2, 0.35, 0.5, 0.7]))
                for _ in range(200)]
     for g in graphs:
-        assert _frontier_plan(g) == frontier_plan_naive(g), g.edges()
+        assert _plan(g) == frontier_plan_naive(g), g.edges()
 
 
 def test_cost_rule_sends_jm7_to_dp_and_dense_randoms_to_sweep(rng):
@@ -344,6 +351,55 @@ def test_cost_rule_sends_jm7_to_dp_and_dense_randoms_to_sweep(rng):
     for n in range(14, 21):
         g = random_connected_graph(n, rng, p=0.45)
         assert not _dp_chosen(g), g.edges()
+
+
+def _full_ordering_route(g, alpha, p, q, ties):
+    """The cost rule on the whole greedy ordering, recomputed: the DP's
+    steps when the sweep's C(n, s) sum reaches the floor and the weighted
+    Bell sum over every step stays under it, else None."""
+    sweep = 0
+    for s in range(1, g.n - 1):
+        kcap = min(g.n - s, alpha)
+        if kcap < 2 or s * q > p * kcap or (s * q == p * kcap and not ties):
+            break
+        sweep += comb(g.n, s)
+    steps, widths = frontier_plan_naive(g)
+    bell = [1]  # B_{m+1} = sum over k of C(m, k) B_k
+    while len(bell) <= max(widths) + 1:
+        m = len(bell) - 1
+        bell.append(sum(comb(m, k) * bell[k] for k in range(m + 1)))
+    dp = invariants._DP_STATE_COST * sum(3 * bell[w + 1] for w in widths)
+    return steps if sweep >= invariants._DP_MIN_SWEEP_WORK and dp < sweep else None
+
+
+def test_ordering_stops_early_without_moving_the_route(rng, monkeypatch):
+    # _dp_steps stops the ordering once the DP's running estimate reaches
+    # the sweep's; the route must be the one the whole ordering gives
+    graphs = [build_jm(m).graph for m in range(3, 14)]
+    graphs += [random_connected_graph(rng.randrange(14, 25), rng,
+                                      p=rng.choice([0.1, 0.15, 0.2, 0.3, 0.45]))
+               for _ in range(60)]
+    whole = invariants._frontier_plan
+    placed = []
+
+    def counted(g):
+        for pair in whole(g):
+            placed.append(pair)
+            yield pair
+
+    monkeypatch.setattr(invariants, "_frontier_plan", counted)
+    routes, stopped = set(), 0
+    for g in graphs:
+        alpha, _ = independence_number(g)
+        p, q, _ = _seed(g)
+        for ties in (True, False):
+            placed.clear()
+            steps = _dp_steps(g, alpha, p, q, ties=ties)
+            assert steps == _full_ordering_route(g, alpha, p, q, ties), g.edges()
+            routes.add(steps is not None)
+            stopped += 0 < len(placed) < g.n
+    assert routes == {True, False}
+    assert stopped > 20
 
 
 def test_toughness_sweep_estimate_counts_the_tie_size(monkeypatch):
@@ -382,7 +438,7 @@ def test_toughness_sweep_estimate_counts_the_tie_size(monkeypatch):
     assert toughness_json(cert) == {
         "invariant": "toughness", "value": {"num": 1, "den": 2}, "witness": [1], "components": 2,
     }
-    steps, _ = _frontier_plan(g)
+    steps, _ = _plan(g)
     assert _dinkelbach(steps, *seed[:2]) == _sweep_value(g, tables, alpha, seed) == (1, 2, 0b10)
 
 
@@ -400,7 +456,7 @@ def test_state_ceiling_falls_back_to_the_sweep(monkeypatch):
     assert _dp_chosen(g)
     want = toughness(g)
     monkeypatch.setattr(invariants, "_DP_MAX_STATES", 10)
-    steps, _ = _frontier_plan(g)
+    steps, _ = _plan(g)
     assert _dinkelbach(steps, *_seed(g)[:2]) is None
     assert toughness(g) == want
     assert is_t_tough(g, Fraction(11, 6)) == (True, None)
@@ -411,7 +467,7 @@ def test_state_ceiling_counts_labels_with_capped_count(monkeypatch):
     # isolation seed's ratio: the pass fits a ceiling of exactly that many
     for g, peak in ((build_jm(5).graph, 124), (build_jm(7).graph, 170),
                     (line_graph(petersen()), 386)):
-        steps, _ = _frontier_plan(g)
+        steps, _ = _plan(g)
         s, k, _ = _seed(g)
         monkeypatch.setattr(invariants, "_DP_MAX_STATES", peak)
         assert _frontier_dp(steps, s, k) is not None
