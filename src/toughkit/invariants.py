@@ -178,10 +178,8 @@ def _size_cuts(g: Graph, tables: list[list[int]], s: int, k: int, reps: dict):
     """
     top, forced = reps.get(k, (0, None))
     if s > top:
-        # the callers ask size s for k components with k - 1 <= s * r <= k,
-        # for a ratio r that never falls, so no later size past
-        # s * k / (k - 1) asks for this k; a k raised to the floor of 2 can,
-        # and then lists again
+        # no later size of a ``_sweep_sizes`` plan past s * k / (k - 1)
+        # asks for this k, unless it was raised to the floor of 2
         top = s * k // (k - 1)
         forced = _representatives(g, top, k)
         reps[k] = top, forced
@@ -220,7 +218,7 @@ def toughness(g: Graph):
     alpha, _ = independence_number(g)
     tables = _union_tables(g.adj, g.n)
     seed = _isolation_seed(g, tables)
-    steps = _dp_steps(g, alpha, seed[0], seed[1], ties=True)
+    steps = _dp_steps(g, _sweep_sizes(g.n, alpha, lambda s: -(-s * seed[1] // seed[0])))
     found = None if steps is None else _dinkelbach(steps, seed[0], seed[1])
     if found is None:
         found = _sweep_value(g, tables, alpha, seed)
@@ -243,41 +241,39 @@ def _isolation_seed(g: Graph, tables: list[list[int]]) -> tuple[int, int, int]:
     return best
 
 
-def _sweep_sizes(n: int, alpha: int, p: int, q: int, *, ties: bool = False):
-    """Cut-set sizes from 1 up that could still beat the ratio p/q.
+def _sweep_sizes(n: int, alpha: int, need):
+    """The sweep's plan: (s, k) for s from 1 up, with k = max(2, need(s)).
 
-    Removing s vertices leaves at most min(n - s, alpha) components (one
-    independent vertex per component), so once s / that cap reaches p/q no
-    larger size can do better.  With ``ties`` the size where the cap only
-    ties p/q is yielded too, as ``_sweep_value`` scans it.
+    ``need(s)`` is the fewest components a size-s cut-set must leave to
+    matter to the caller.  Removing s vertices leaves at most
+    min(n - s, alpha) components (one independent vertex per component),
+    so the plan stops at the first size where k exceeds that.  ``need`` is
+    read afresh at each size, so a caller whose bar rises mid-plan ends it
+    sooner.  Both callers need the least k with k - 1 <= s * r <= k, one
+    bound strict, for a ratio r that never falls (best_k / best_s, or q / p
+    at t = p/q), so no size past s * k / (k - 1) needs the k of size s
+    unless the floor of 2 raised it; ``_size_cuts`` caches seeds that far.
     """
     for s in range(1, n - 1):
-        kcap = min(n - s, alpha)
-        if kcap < 2 or s * q > p * kcap or (s * q == p * kcap and not ties):
+        k = max(2, need(s))
+        if k > min(n - s, alpha):
             return
-        yield s
+        yield s, k
 
 
 def _sweep_value(g: Graph, tables: list[list[int]], alpha: int,
                  best: tuple[int, int, int]) -> tuple[int, int, int]:
     """Size-major sweep for the first cut-set in (ratio, mask) order.
 
-    A size-s cut-set leaves at most min(n - s, alpha) components, so the
-    sweep stops at the first size where even that ratio is worse than the
-    running best; the size where it only ties is still scanned, for a
-    smaller optimal mask.  At size s only cut-sets leaving at least
-    ceil(s * best_k / best_s) components can beat or tie the best, which is
-    the k ``_size_cuts`` walks for.
+    At size s only cut-sets leaving at least ceil(s * best_k / best_s)
+    components can beat or tie the running best; ties are kept for a
+    smaller optimal mask.  The plan reads that need from the best so far.
     """
-    n = g.n
     reps: dict = {}
-    for s in range(1, n - 1):
-        kcap = min(n - s, alpha)
-        if kcap < 2 or s * best[1] > best[0] * kcap:
-            break
-        for x, k in _size_cuts(g, tables, s, max(2, -(-s * best[1] // best[0])), reps):
-            if _beats(s, k, x, best):
-                best = (s, k, x)
+    for s, k in _sweep_sizes(g.n, alpha, lambda s: -(-s * best[1] // best[0])):
+        for x, c in _size_cuts(g, tables, s, k, reps):
+            if _beats(s, c, x, best):
+                best = (s, c, x)
     return best
 
 
@@ -342,11 +338,11 @@ def _bell_numbers():
         row = nxt
 
 
-def _dp_steps(g: Graph, alpha: int, p: int, q: int, *, ties: bool = False) -> list[tuple] | None:
+def _dp_steps(g: Graph, sizes) -> list[tuple] | None:
     """Frontier-DP steps when the DP is estimated cheaper than the sweep.
 
-    The sweep's work is taken as C(n, s) for each size s that
-    ``_sweep_sizes`` allows at ratio p/q, a loose upper bound: its walks
+    The sweep's work is taken as C(n, s) for each size s of the plan
+    ``sizes`` that the sweep would run, a loose upper bound: its walks
     propose far fewer sets, and an improving best stops it early.  The DP's
     is at most 3 * Bell(w + 1) states per step of frontier width w, each
     weighted as ``_DP_STATE_COST`` subsets; the weight is what sends the
@@ -354,12 +350,8 @@ def _dp_steps(g: Graph, alpha: int, p: int, q: int, *, ties: bool = False) -> li
     should run.  The DP's estimate is summed as the ordering is built, and
     it only grows, so the ordering stops at the first step where the sum
     reaches the sweep's: the route is the one the whole ordering gives.
-    ``toughness`` passes ``ties``, because its sweep also scans the size
-    whose cap only ties p/q, for a smaller optimal mask; on a sparse graph
-    with a cut vertex that is the largest size it scans.  ``is_t_tough``
-    does not: a violation is strict, so its sweep stops before that size.
     """
-    sweep = sum(comb(g.n, s) for s in _sweep_sizes(g.n, alpha, p, q, ties=ties))
+    sweep = sum(comb(g.n, s) for s, _ in sizes)
     if sweep < _DP_MIN_SWEEP_WORK:
         return None
     steps, dp = [], 0
@@ -489,19 +481,18 @@ def is_t_tough(g: Graph, t) -> tuple[bool, VertexSet | None]:
     if g.is_complete() or t == 0:
         return True, None
     p, q = t.numerator, t.denominator
-    n, adj = g.n, g.adj
     alpha, _ = independence_number(g)
-    steps = _dp_steps(g, alpha, p, q)
+    # a size-s cut-set violates iff it leaves more than s * q / p components
+    plan = list(_sweep_sizes(g.n, alpha, lambda s: s * q // p + 1))
+    steps = _dp_steps(g, plan)
     if steps is not None:
         found = _frontier_dp(steps, p, q)
         if found is not None and found[0] >= 0:
             return True, None
-    tables = _union_tables(adj, n)
+    tables = _union_tables(g.adj, g.n)
     reps: dict = {}
-    for s in _sweep_sizes(n, alpha, p, q):
-        # a size-s cut-set violates iff it leaves more than s * q / p components
-        cuts = _size_cuts(g, tables, s, max(2, s * q // p + 1), reps)
-        witness = min((x for x, k in cuts if s * q < p * k), default=None)
+    for s, k in plan:
+        witness = min((x for x, _ in _size_cuts(g, tables, s, k, reps)), default=None)
         if witness is not None:
             return False, witness
     return True, None

@@ -35,7 +35,6 @@ from toughkit.generators import (
 from toughkit.graphs import EnvelopeError, components
 from toughkit.invariants import (
     _dinkelbach,
-    _dp_steps,
     _frontier_dp,
     _frontier_plan,
     _grown_seeds,
@@ -48,6 +47,7 @@ from toughkit.invariants import (
     _union_tables,
     toughness_json,
 )
+from toughkit.search import enumerate_regular
 
 from oracles import cutsets_naive, first_violation_naive, frontier_plan_naive, toughness_oracle
 
@@ -253,10 +253,30 @@ def _dp_value(g):
     return _dp_result(g)[0]
 
 
+class _Routed(Exception):
+    pass
+
+
+def _route(solve, g, *args):
+    """The DP steps, or None, that solve(g, *args) routes by; it stops there."""
+    dp_steps, routed = invariants._dp_steps, []
+
+    def stop_when_routed(g, sizes):
+        routed.append(dp_steps(g, sizes))
+        raise _Routed
+
+    invariants._dp_steps = stop_when_routed
+    try:
+        with pytest.raises(_Routed):
+            solve(g, *args)
+    finally:
+        invariants._dp_steps = dp_steps
+    return routed[0]
+
+
 def _dp_chosen(g):
     """Whether toughness() takes the DP path for g (its cost rule)."""
-    alpha, _ = independence_number(g)
-    return _dp_steps(g, alpha, *_seed(g)[:2], ties=True) is not None
+    return _route(toughness, g) is not None
 
 
 def test_dp_value_matches_oracle_on_randoms(rng):
@@ -374,7 +394,9 @@ def _full_ordering_route(g, alpha, p, q, ties):
 
 def test_ordering_stops_early_without_moving_the_route(rng, monkeypatch):
     # _dp_steps stops the ordering once the DP's running estimate reaches
-    # the sweep's; the route must be the one the whole ordering gives
+    # the sweep's; the route must be the one the whole ordering gives, for
+    # toughness's plan (the seed ratio's tie size counts) and for
+    # is_t_tough's at the same ratio (it does not)
     graphs = [build_jm(m).graph for m in range(3, 14)]
     graphs += [random_connected_graph(rng.randrange(14, 25), rng,
                                       p=rng.choice([0.1, 0.15, 0.2, 0.3, 0.45]))
@@ -392,9 +414,9 @@ def test_ordering_stops_early_without_moving_the_route(rng, monkeypatch):
     for g in graphs:
         alpha, _ = independence_number(g)
         p, q, _ = _seed(g)
-        for ties in (True, False):
+        for ties, solve, args in ((True, toughness, ()), (False, is_t_tough, (Fraction(p, q),))):
             placed.clear()
-            steps = _dp_steps(g, alpha, p, q, ties=ties)
+            steps = _route(solve, g, *args)
             assert steps == _full_ordering_route(g, alpha, p, q, ties), g.edges()
             routes.add(steps is not None)
             stopped += 0 < len(placed) < g.n
@@ -402,11 +424,43 @@ def test_ordering_stops_early_without_moving_the_route(rng, monkeypatch):
     assert stopped > 20
 
 
+def test_is_t_tough_route_matches_the_recomputed_rule():
+    # is_t_tough routes by the plan its sweep runs, with no tie size, at
+    # t = 2 and 3/2 on J_3..J_13 and on every (10,4) and (12,3) class; each
+    # call stops once routed, as the "no" sweeps past J_9 take seconds
+    graphs = [build_jm(m).graph for m in range(3, 14)]
+    graphs += enumerate_regular(10, 4) + enumerate_regular(12, 3)
+    routes = set()
+    for g in graphs:
+        alpha, _ = independence_number(g)
+        for t in (Fraction(2), Fraction(3, 2)):
+            steps = _route(is_t_tough, g, t)
+            assert steps == _full_ordering_route(g, alpha, t.numerator, t.denominator,
+                                                 False), (g.edges(), t)
+            routes.add(steps is not None)
+    assert routes == {True, False}
+
+
+def test_sweep_sizes_rereads_need():
+    # need is read afresh at each size, so a bar raised mid-plan stops the
+    # plan at the first size whose raised k no longer fits under the cap
+    assert [s for s, _ in _sweep_sizes(20, 10, lambda s: s)] == list(range(1, 11))
+    bar = [1]
+    plan = []
+    for s, k in _sweep_sizes(20, 10, lambda s: s * bar[0]):
+        plan.append((s, k))
+        if s == 2:
+            bar[0] = 3
+    assert plan == [(1, 2), (2, 2), (3, 9)]
+
+
 def test_toughness_sweep_estimate_counts_the_tie_size(monkeypatch):
     # toughness's sweep also scans the size whose cap only ties the seed
-    # ratio; is_t_tough's stops before it, since a violation is strict
-    assert list(_sweep_sizes(20, 10, 1, 2, ties=True)) == [1, 2, 3, 4, 5]
-    assert list(_sweep_sizes(20, 10, 1, 2)) == [1, 2, 3, 4]
+    # ratio; is_t_tough's stops before it, since a violation is strict: at
+    # ratio 1/2 one needs ceil(2s) components and the other floor(2s) + 1
+    assert list(_sweep_sizes(20, 10, lambda s: 2 * s)) == [(1, 2), (2, 4), (3, 6), (4, 8),
+                                                           (5, 10)]
+    assert list(_sweep_sizes(20, 10, lambda s: 2 * s + 1)) == [(1, 3), (2, 5), (3, 7), (4, 9)]
     # n = 22, kappa = 1, alpha = 10: the seed {14} has ratio 1/2, and the tie
     # size 5 (26 334 of 35 442 subsets) tips the estimate to the DP, which
     # finds the smaller optimal mask {3} (forced: DP 1.2-1.3 ms, sweep 3.8-4.6 ms)
@@ -416,7 +470,7 @@ def test_toughness_sweep_estimate_counts_the_tie_size(monkeypatch):
     seed = _isolation_seed(g, tables)
     assert (g.n, connectivity(g).kappa, alpha, seed) == (22, 1, 10, (1, 2, 1 << 14))
     assert _dp_chosen(g)
-    assert _dp_steps(g, alpha, *seed[:2]) is None
+    assert _route(is_t_tough, g, Fraction(1, 2)) is None
     swept = _sweep_value(g, tables, alpha, seed)
 
     def no_sweep(*args):
