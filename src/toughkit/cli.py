@@ -22,8 +22,8 @@ import os
 import random
 import sys
 
-from .formats import (ParseError, json_text, parse_edge_list, parse_graph6, serialize_edge_list,
-                      serialize_graph6, to_dot)
+from .formats import (ParseError, _check_graph6_order, json_text, parse_edge_list, parse_graph6,
+                      serialize_edge_list, serialize_graph6, to_dot)
 from .generators import (LabeledGraph, build_jm, complete, cycle, cycle_power, path, petersen,
                          random_connected_graph, star)
 from .graphs import EnvelopeError, Graph, bits
@@ -289,6 +289,7 @@ def cmd_corpus(args) -> int:
     out = []
     for _ in range(args.count):
         n = rng.randrange(args.min_n, args.max_n + 1)
+        _check_graph6_order(n)  # before sampling, which grows as n squared
         out.append(serialize_graph6(random_connected_graph(n, rng, args.p)))
     if args.format == "json":
         sys.stdout.write(json_text({"count": len(out), "graphs": out, "seed": args.seed}))

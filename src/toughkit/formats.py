@@ -70,25 +70,33 @@ def parse_graph6(text: str) -> Graph:
     return Graph(n, tuple(rows))
 
 
+def _check_graph6_order(n: int) -> None:
+    if n > 62:
+        raise EnvelopeError(f"graph6 single-byte order supports n <= 62, got {n}")
+
+
+def _columns(adj) -> list[int]:
+    """The graph6 columns of the labeling ``adj``: column j as a j-bit int,
+    the pair (0, j) its most significant bit (column 0 is empty, so 0)."""
+    return [int(f"{adj[j] & ((1 << j) - 1):0{j}b}"[::-1], 2) for j in range(len(adj))]
+
+
+def _pack_columns(cols: list[int]) -> str:
+    """graph6 of the order-len(cols) graph whose columns are ``cols``."""
+    stream = width = 0
+    for j, col in enumerate(cols):
+        stream = stream << j | col
+        width += j
+    pad = -width % 6
+    stream <<= pad
+    data = [chr(63 + (stream >> i & 63)) for i in range(width + pad - 6, -1, -6)]
+    return chr(63 + len(cols)) + "".join(data)
+
+
 def serialize_graph6(g: Graph) -> str:
     """Encode as a canonical-padding graph6 string (no trailing newline)."""
-    if g.n > 62:
-        raise EnvelopeError(f"graph6 single-byte order supports n <= 62, got {g.n}")
-    out = [chr(63 + g.n)]
-    acc = 0
-    nb = 0
-    for j in range(1, g.n):
-        col = g.adj[j]
-        for i in range(j):
-            acc = acc << 1 | col >> i & 1
-            nb += 1
-            if nb == 6:
-                out.append(chr(63 + acc))
-                acc = 0
-                nb = 0
-    if nb:
-        out.append(chr(63 + (acc << (6 - nb))))
-    return "".join(out)
+    _check_graph6_order(g.n)
+    return _pack_columns(_columns(g.adj))
 
 
 def parse_edge_list(text: str) -> Graph:

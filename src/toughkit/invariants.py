@@ -163,26 +163,19 @@ def _representatives(g: Graph, s: int, k: int) -> list[tuple[int, int]]:
     return out
 
 
-def _size_cuts(g: Graph, tables: list[list[int]], s: int, k: int, reps: dict):
+def _size_cuts(g: Graph, tables: list[list[int]], s: int, k: int):
     """(S, c) for the size-s sets S leaving c >= k components, each at least once.
 
     Two walks can propose the sets, and only here are components counted.
-    The forcing walk completes the seeds of ``_representatives``, kept in
-    ``reps`` per k with the largest size they serve; the growth walk
-    completes those of ``_grown_seeds``.  Both cover every size-s set
-    leaving at least k components, and ``_proposals`` counts exactly what
-    each would propose.  The forcing walk runs unless the growth walk
-    proposes no more sets.  The growth seeds are only built when the
-    forcing walk proposes more than n sets, because the growth search
-    starts from every vertex.
+    The forcing walk completes the seeds of ``_representatives``; the
+    growth walk completes those of ``_grown_seeds``.  Both cover every
+    size-s set leaving at least k components, and ``_proposals`` counts
+    exactly what each would propose.  The forcing walk runs unless the
+    growth walk proposes no more sets.  The growth seeds are only built
+    when the forcing walk proposes more than n sets, because the growth
+    search starts from every vertex.
     """
-    top, forced = reps.get(k, (0, None))
-    if s > top:
-        # no later size of a ``_sweep_sizes`` plan past s * k / (k - 1)
-        # asks for this k, unless it was raised to the floor of 2
-        top = s * k // (k - 1)
-        forced = _representatives(g, top, k)
-        reps[k] = top, forced
+    forced = _representatives(g, s, k)
     work = _proposals(forced, s)
     cuts = _seed_cuts(forced, s)
     if work > g.n:
@@ -249,10 +242,7 @@ def _sweep_sizes(n: int, alpha: int, need):
     min(n - s, alpha) components (one independent vertex per component),
     so the plan stops at the first size where k exceeds that.  ``need`` is
     read afresh at each size, so a caller whose bar rises mid-plan ends it
-    sooner.  Both callers need the least k with k - 1 <= s * r <= k, one
-    bound strict, for a ratio r that never falls (best_k / best_s, or q / p
-    at t = p/q), so no size past s * k / (k - 1) needs the k of size s
-    unless the floor of 2 raised it; ``_size_cuts`` caches seeds that far.
+    sooner.
     """
     for s in range(1, n - 1):
         k = max(2, need(s))
@@ -269,9 +259,8 @@ def _sweep_value(g: Graph, tables: list[list[int]], alpha: int,
     components can beat or tie the running best; ties are kept for a
     smaller optimal mask.  The plan reads that need from the best so far.
     """
-    reps: dict = {}
     for s, k in _sweep_sizes(g.n, alpha, lambda s: -(-s * best[1] // best[0])):
-        for x, c in _size_cuts(g, tables, s, k, reps):
+        for x, c in _size_cuts(g, tables, s, k):
             if _beats(s, c, x, best):
                 best = (s, c, x)
     return best
@@ -490,9 +479,8 @@ def is_t_tough(g: Graph, t) -> tuple[bool, VertexSet | None]:
         if found is not None and found[0] >= 0:
             return True, None
     tables = _union_tables(g.adj, g.n)
-    reps: dict = {}
     for s, k in plan:
-        witness = min((x for x, _ in _size_cuts(g, tables, s, k, reps)), default=None)
+        witness = min((x for x, _ in _size_cuts(g, tables, s, k)), default=None)
         if witness is not None:
             return False, witness
     return True, None

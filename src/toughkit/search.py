@@ -36,8 +36,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .formats import ParseError, parse_graph6, serialize_graph6
-from .graphs import EnvelopeError, Graph, bits, is_connected, relabel
+from .formats import ParseError, _columns, _pack_columns, parse_graph6, serialize_graph6
+from .graphs import EnvelopeError, Graph, bits, is_connected
 from .invariants import (
     INFINITE,
     claw_centers,
@@ -68,43 +68,30 @@ PREDICATES = {
 }
 
 
-def _identity_cols(n: int, adj) -> list[int]:
-    cols = []
-    for j in range(1, n):
-        col = 0
-        row = adj[j]
-        for i in range(j):
-            col = col << 1 | row >> i & 1
-        cols.append(col)
-    return cols
-
-
 def _max_labeling(n: int, adj) -> list[int]:
-    """Position -> vertex permutation achieving the lex-max column string.
+    """The lex-max column string over all labelings, as graph6 columns.
 
     Branch and bound seeded with the identity's columns ``best``, with
     ``best[0] = 0`` for the empty column at position 0.  At each position
     only the vertices of the largest column can lead to the best string:
     a largest column below ``best`` cuts the branch, a tie is walked, and a
     larger one overwrites ``best`` from that position on, the deeper
-    positions reset to -1.  So every leaf realizes ``best``, and the last
-    leaf is a maximum.  Of two twins (vertices with the same neighbours
-    apart from each other, so swapping them is an automorphism that fixes
-    every other vertex) only the lower one is tried while both are unplaced.
+    positions reset to -1.  So every leaf realizes ``best``, a leaf is
+    reached after each overwrite, and ``best`` ends as the maximum.  Of
+    two twins (vertices with the same neighbours apart from each other, so
+    swapping them is an automorphism that fixes every other vertex) only
+    the lower one is tried while both are unplaced.
     """
-    best = [0, *_identity_cols(n, adj)]
+    best = _columns(adj)
     lower_twins = [sum(1 << u for u in range(v)
                        if adj[u] & ~(1 << v) == adj[v] & ~(1 << u))
                    for v in range(n)]
-    placed: list[int] = []
-    perm: list[int] = []
 
-    def dfs(mask: int, rest: list[int], cols: list[int]) -> None:
-        """Extend ``placed``, whose columns tie ``best``; ``cols[i]`` is the
-        column of the unplaced vertex ``rest[i]`` over ``placed``."""
-        depth = len(placed)
+    def dfs(depth: int, mask: int, rest: list[int], cols: list[int]) -> None:
+        """Extend a prefix of ``depth`` placed vertices (``mask``) whose
+        columns tie ``best``; ``cols[i]`` is the column of the unplaced
+        vertex ``rest[i]`` over the prefix."""
         if depth == n:
-            perm[:] = placed
             return
         top = max(cols)
         if top < best[depth]:
@@ -114,13 +101,11 @@ def _max_labeling(n: int, adj) -> list[int]:
         for i, v in enumerate(rest):
             if cols[i] == top and not lower_twins[v] & ~mask:
                 row = adj[v]
-                placed.append(v)
-                dfs(mask | 1 << v, rest[:i] + rest[i + 1:],
+                dfs(depth + 1, mask | 1 << v, rest[:i] + rest[i + 1:],
                     [c << 1 | row >> u & 1 for u, c in zip(rest, cols) if u != v])
-                placed.pop()
 
-    dfs(0, list(range(n)), [0] * n)
-    return perm
+    dfs(0, 0, list(range(n)), [0] * n)
+    return best
 
 
 def _check_canonical_order(n: int) -> None:
@@ -133,10 +118,7 @@ def _check_canonical_order(n: int) -> None:
 def canonical_form(g: Graph) -> str:
     """Canonical graph6 string: equal for two graphs iff they are isomorphic."""
     _check_canonical_order(g.n)
-    old_to_new = [0] * g.n
-    for pos, v in enumerate(_max_labeling(g.n, g.adj)):
-        old_to_new[v] = pos
-    return serialize_graph6(relabel(g, old_to_new))
+    return _pack_columns(_max_labeling(g.n, g.adj))
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +219,7 @@ def _tie_dfs(adj, want, verts, pars, placed: list[int], mask: int, node: int) ->
 def _tied_prefixes(rows: list[int], order: int):
     """``(verts, pars, want)`` of a canonical labeling, walked from scratch,
     with empty depths up to ``order`` for its descendants' prefixes."""
-    want = [0, *_identity_cols(len(rows), rows)]
+    want = _columns(rows)
     verts: list[list[int]] = [[] for _ in range(order + 1)]
     pars: list[list[int]] = [[] for _ in range(order + 1)]
     if not _tie_dfs(rows, want, verts, pars, [], 0, 0):

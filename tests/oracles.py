@@ -258,6 +258,28 @@ def cutsets_naive(g: Graph, s: int, k: int = 2) -> set[frozenset]:
     return out
 
 
+def cutset_masks_naive(g: Graph, s: int) -> list[int]:
+    """Every s-set whose removal leaves at least two components, as ascending
+    masks: one plain breadth-first search per set, from its least survivor."""
+    out = []
+    full = (1 << g.n) - 1
+    for combo in combinations(range(g.n), s):
+        cut = sum(1 << v for v in combo)
+        alive = full & ~cut
+        reached = alive & -alive
+        queue = [reached.bit_length() - 1]
+        for v in queue:
+            new = g.adj[v] & alive & ~reached
+            reached |= new
+            while new:
+                low = new & -new
+                queue.append(low.bit_length() - 1)
+                new ^= low
+        if reached != alive:
+            out.append(cut)
+    return sorted(out)
+
+
 def _oracle_components(nbrs: list[set[int]], alive: set[int]) -> int:
     seen: set[int] = set()
     cnt = 0

@@ -571,3 +571,18 @@ def test_corpus_without_a_connected_sample_is_an_envelope_error(capsys):
 
 def test_corpus_count_zero_is_empty(capsys):
     assert run_cli(capsys, "corpus", "--seed", "1", "--count", "0") == (OK, "", "")
+
+
+def test_corpus_past_the_graph6_limit_exits_before_sampling(capsys, monkeypatch):
+    # sampling G(n, p) costs n squared, so the order is checked first
+    sampled = []
+    sample = cli.random_connected_graph
+    monkeypatch.setattr(cli, "random_connected_graph",
+                        lambda n, rng, p: sampled.append(n) or sample(n, rng, p))
+    code, out, err = run_cli(capsys, "corpus", "--seed", "1", "--count", "3",
+                             "--min-n", "100000", "--max-n", "100000")
+    assert (code, out, sampled) == (ENVELOPE, "", [])
+    assert err == "error: envelope: graph6 single-byte order supports n <= 62, got 100000\n"
+    code, out, _ = run_cli(capsys, "corpus", "--seed", "1", "--count", "1",
+                           "--min-n", "62", "--max-n", "62")
+    assert (code, parse_graph6(out).n, sampled) == (OK, 62, [62])

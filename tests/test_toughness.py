@@ -553,12 +553,11 @@ def test_forcing_lemma_walk_covers_every_separating_set(rng):
         n = rng.randrange(5, 13)
         g = random_connected_graph(n, rng, p=rng.choice([0.2, 0.35, 0.5, 0.7]))
         tables = _union_tables(g.adj, n)
-        chosen_reps: dict = {}
         for k in range(2, independence_number(g)[0] + 1):
             for s in range(1, n - 1):
                 want = {mask_of(c) for c in cutsets_naive(g, s, k)}
                 walked = set(_seed_cuts(_representatives(g, s, k), s))
-                counted = list(_size_cuts(g, tables, s, k, chosen_reps))
+                counted = list(_size_cuts(g, tables, s, k))
                 chosen = {x for x, _ in counted}
                 grown = set(_seed_cuts(_grown_seeds(g, s, k), s))
                 assert want <= walked, (g.edges(), s, k, want - walked)
@@ -579,9 +578,9 @@ def _spy_counts(monkeypatch):
         calls[size[0]] = calls.get(size[0], 0) + 1
         return count(alive, tables)
 
-    def spy_size_cuts(g, tables, s, k, reps):
+    def spy_size_cuts(g, tables, s, k):
         size[0] = s
-        return size_cuts(g, tables, s, k, reps)
+        return size_cuts(g, tables, s, k)
 
     monkeypatch.setattr(invariants, "_count_components", spy_count)
     monkeypatch.setattr(invariants, "_size_cuts", spy_size_cuts)
@@ -591,7 +590,8 @@ def _spy_counts(monkeypatch):
 def test_toughness_component_count_work_is_pinned(monkeypatch):
     # the exact work of the walk choice and the route, free of timing noise:
     # 7 210 calls when every walk was measured against C(n, s); and the
-    # forcing-lemma seeds listed, 9 252 without the size bound on F(I)
+    # forcing-lemma seeds listed, afresh for each size swept (1 138 when
+    # one listing per k served every size up to s * k / (k - 1))
     graphs = [build_jm(m).graph for m in range(3, 14)]
     rng = random.Random(2026)
     graphs += [random_connected_graph(n, rng, p=p)
@@ -603,7 +603,7 @@ def test_toughness_component_count_work_is_pinned(monkeypatch):
                         lambda g, s, k: listed.append(representatives(g, s, k)) or listed[-1])
     for g in graphs:
         toughness(g)
-    assert (sum(calls.values()), sum(map(len, listed))) == (2345, 1138)
+    assert (sum(calls.values()), sum(map(len, listed))) == (2345, 716)
 
 
 def test_is_t_tough_sizes_below_kappa_cost_at_most_n_counts(rng, monkeypatch):
