@@ -253,7 +253,7 @@ def cmd_census(args) -> int:
     source = "stream" if (args.stdin or args.input) else "builtin"
     spec = SearchSpec(n=args.n, r=args.r, source=source, predicates=tuple(preds))
     stream = _read_text(args).splitlines() if source == "stream" else None
-    result = run_census(spec, stream=stream, workers=args.workers)
+    result = run_census(spec, stream=stream, workers=args.workers or usable_cpus())
     payload = result.to_json_dict()
     if args.survivors_out:
         with open(args.survivors_out, "w", encoding="ascii") as fh:
@@ -311,9 +311,10 @@ def _worker_count(text: str) -> int:
     return workers
 
 
-def _add_workers(sub, default: int, text: str) -> None:
+def _add_workers(sub, default: int | None, text: str) -> None:
+    shown = "the usable CPUs" if default is None else "%(default)s"
     sub.add_argument("--workers", type=_worker_count, default=default,
-                     help=f"{text} (default: %(default)s)")
+                     help=f"{text} (default: {shown})")
 
 
 def _add_input(sub) -> None:
@@ -322,10 +323,8 @@ def _add_input(sub) -> None:
     source.add_argument("--stdin", action="store_true", help="read the graph from stdin")
 
 
-def _build_parser(census_workers: int | None = None) -> argparse.ArgumentParser:
-    """A fresh parser; census --workers defaults to ``usable_cpus()`` unless given."""
-    if census_workers is None:
-        census_workers = usable_cpus()
+def _build_parser() -> argparse.ArgumentParser:
+    """A fresh parser; census --workers defaults to None, the usable CPUs."""
     parser = argparse.ArgumentParser(
         prog="toughkit",
         description="exact toughness, connectivity, independence and claw "
@@ -375,7 +374,7 @@ def _build_parser(census_workers: int | None = None) -> argparse.ArgumentParser:
     cen.add_argument("--emit-dot", metavar="DIR",
                      help="write one DOT file per survivor into a directory")
     cen.add_argument("--format", choices=("json", "table"), default="json")
-    _add_workers(cen, census_workers, "worker processes, capped at the usable CPUs")
+    _add_workers(cen, None, "worker processes, capped at the usable CPUs")
     cen.set_defaults(handler=cmd_census)
 
     cor = subs.add_parser("corpus", help="emit seeded random connected graphs")
@@ -390,15 +389,14 @@ def _build_parser(census_workers: int | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-# parse_args makes a new Namespace on every call, so one parser serves every
-# main call of a process.  The census --workers default is the one value it
-# reads from outside, so it keys the cache.
-_parser_for = functools.lru_cache(maxsize=None)(_build_parser)
+# parse_args makes a new Namespace on every call, and the parser reads nothing
+# from outside, so one parser serves every main call of a process
+_parser_for = functools.cache(_build_parser)
 
 
 def main(argv=None) -> int:
     try:
-        args = _parser_for(usable_cpus()).parse_args(argv)
+        args = _parser_for().parse_args(argv)
     except SystemExit as exc:
         return USAGE if exc.code else OK
     try:

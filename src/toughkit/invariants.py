@@ -5,16 +5,16 @@ Toughness of a connected non-complete graph is min |S| / c(G - S) over all
 cut-sets S, computed here with exact rationals throughout.  A complete graph
 has no cut-set, and its toughness is INFINITE, which is ``math.inf``.  The
 optimized solver finds the value either by a frontier DP with Dinkelbach
-iteration or by a subset sweep pruned by independence number and a running
-best, whichever its weighted work estimates say is cheaper for the input.
-At each size the sweep tries the sets that a forcing lemma allows around
-an independent set of component representatives, or the sets grown around
-a smallest component, whichever of the two walks proposes fewer sets by
-exact count.  Either path ranks cut-sets by ratio and then by bitmask, so
-the pass that proves the value also holds the witness.  The test suite's
-oracle walks every subset with none of that and gates the solver.  Both
-report the same witness: the minimizing cut-set with the smallest bitmask
-value (ties beyond that cannot occur).
+iteration or by a subset sweep pruned by a running best, whichever its
+weighted work estimates say is cheaper for the input.  At each size the
+sweep tries the sets that a forcing lemma allows around an independent set
+of component representatives, or the sets grown around a smallest
+component, whichever of the two walks proposes fewer sets by exact count.
+Either path ranks cut-sets by ratio and then by bitmask, so the pass that
+proves the value also holds the witness.  The test suite's oracle walks
+every subset with none of that and gates the solver.  Both report the same
+witness: the minimizing cut-set with the smallest bitmask value (ties
+beyond that cannot occur).
 """
 
 from __future__ import annotations
@@ -208,13 +208,12 @@ def toughness(g: Graph):
         return ToughnessCertificate(Fraction(0), 0, len(comps))
     if g.is_complete():
         return INFINITE
-    alpha, _ = independence_number(g)
     tables = _union_tables(g.adj, g.n)
     seed = _isolation_seed(g, tables)
-    steps = _dp_steps(g, _sweep_sizes(g.n, alpha, lambda s: -(-s * seed[1] // seed[0])))
+    steps = _dp_steps(g, _sweep_sizes(g.n, lambda s: -(-s * seed[1] // seed[0])))
     found = None if steps is None else _dinkelbach(steps, seed[0], seed[1])
     if found is None:
-        found = _sweep_value(g, tables, alpha, seed)
+        found = _sweep_value(g, tables, seed)
     s, k, witness = found
     return ToughnessCertificate(Fraction(s, k), witness, k)
 
@@ -234,24 +233,23 @@ def _isolation_seed(g: Graph, tables: list[list[int]]) -> tuple[int, int, int]:
     return best
 
 
-def _sweep_sizes(n: int, alpha: int, need):
+def _sweep_sizes(n: int, need):
     """The sweep's plan: (s, k) for s from 1 up, with k = max(2, need(s)).
 
     ``need(s)`` is the fewest components a size-s cut-set must leave to
-    matter to the caller.  Removing s vertices leaves at most
-    min(n - s, alpha) components (one independent vertex per component),
-    so the plan stops at the first size where k exceeds that.  ``need`` is
-    read afresh at each size, so a caller whose bar rises mid-plan ends it
-    sooner.
+    matter to the caller.  Removing s vertices leaves n - s, so at most
+    n - s components, and the plan stops at the first size where k exceeds
+    that.  ``need`` is read afresh at each size, so a caller whose bar
+    rises mid-plan ends it sooner.
     """
     for s in range(1, n - 1):
         k = max(2, need(s))
-        if k > min(n - s, alpha):
+        if k > n - s:
             return
         yield s, k
 
 
-def _sweep_value(g: Graph, tables: list[list[int]], alpha: int,
+def _sweep_value(g: Graph, tables: list[list[int]],
                  best: tuple[int, int, int]) -> tuple[int, int, int]:
     """Size-major sweep for the first cut-set in (ratio, mask) order.
 
@@ -259,7 +257,7 @@ def _sweep_value(g: Graph, tables: list[list[int]], alpha: int,
     components can beat or tie the running best; ties are kept for a
     smaller optimal mask.  The plan reads that need from the best so far.
     """
-    for s, k in _sweep_sizes(g.n, alpha, lambda s: -(-s * best[1] // best[0])):
+    for s, k in _sweep_sizes(g.n, lambda s: -(-s * best[1] // best[0])):
         for x, c in _size_cuts(g, tables, s, k):
             if _beats(s, c, x, best):
                 best = (s, c, x)
@@ -470,9 +468,8 @@ def is_t_tough(g: Graph, t) -> tuple[bool, VertexSet | None]:
     if g.is_complete() or t == 0:
         return True, None
     p, q = t.numerator, t.denominator
-    alpha, _ = independence_number(g)
     # a size-s cut-set violates iff it leaves more than s * q / p components
-    plan = list(_sweep_sizes(g.n, alpha, lambda s: s * q // p + 1))
+    plan = list(_sweep_sizes(g.n, lambda s: s * q // p + 1))
     steps = _dp_steps(g, plan)
     if steps is not None:
         found = _frontier_dp(steps, p, q)

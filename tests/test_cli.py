@@ -15,7 +15,6 @@ from toughkit.cli import ENVELOPE, OK, PARSE, USAGE, VERIFY_FAIL, main
 from toughkit.cli import _build_parser, _use_color, _verdict_text
 from toughkit.formats import parse_edge_list, parse_graph6, serialize_graph6
 from toughkit.generators import build_jm, complete, cycle, cycle_power, path, petersen, star
-from toughkit.parallel import usable_cpus
 from toughkit.search import canonical_form, run_census
 
 
@@ -89,7 +88,7 @@ GEN_FAMILIES = [
 
 
 def test_gen_families_cover_the_parser_choices():
-    subcommands = next(a for a in _build_parser(1)._actions if a.dest == "cmd")
+    subcommands = next(a for a in _build_parser()._actions if a.dest == "cmd")
     family = next(a for a in subcommands.choices["gen"]._actions if a.dest == "family")
     assert [argv[0] for argv, _ in GEN_FAMILIES] == list(family.choices)
 
@@ -232,12 +231,8 @@ def test_workers_below_one_is_a_usage_error(capsys, cmd, workers):
     assert "need at least 1 worker" in err
 
 
-def test_verify_defaults_to_one_process_and_census_to_every_usable_cpu(monkeypatch):
+def test_verify_defaults_to_one_process():
     assert _build_parser().parse_args(["verify"]).workers == 1
-    census = ["census", "--n", "5", "--r", "4"]
-    assert _build_parser().parse_args(census).workers == usable_cpus()
-    monkeypatch.setattr(cli, "usable_cpus", lambda: 3)
-    assert _build_parser().parse_args(census).workers == 3
 
 
 def test_census_workers_default_follows_usable_cpus_through_main(monkeypatch, capsys):

@@ -311,7 +311,7 @@ def test_dp_matches_sweep_beyond_the_oracle_range(rng):
         tables = _union_tables(g.adj, g.n)
         seed = _isolation_seed(g, tables)
         steps, _ = _plan(g)
-        swept = _sweep_value(g, tables, independence_number(g)[0], seed)
+        swept = _sweep_value(g, tables, seed)
         assert _dinkelbach(steps, *seed[:2]) == swept, g.edges()
         assert want is None or swept == want, g.edges()
 
@@ -373,14 +373,14 @@ def test_cost_rule_sends_jm7_to_dp_and_dense_randoms_to_sweep(rng):
         assert not _dp_chosen(g), g.edges()
 
 
-def _full_ordering_route(g, alpha, p, q, ties):
+def _full_ordering_route(g, p, q, ties):
     """The cost rule on the whole greedy ordering, recomputed: the DP's
     steps when the sweep's C(n, s) sum reaches the floor and the weighted
     Bell sum over every step stays under it, else None."""
     sweep = 0
     for s in range(1, g.n - 1):
-        kcap = min(g.n - s, alpha)
-        if kcap < 2 or s * q > p * kcap or (s * q == p * kcap and not ties):
+        kcap = g.n - s
+        if s * q > p * kcap or (s * q == p * kcap and not ties):
             break
         sweep += comb(g.n, s)
     steps, widths = frontier_plan_naive(g)
@@ -412,12 +412,11 @@ def test_ordering_stops_early_without_moving_the_route(rng, monkeypatch):
     monkeypatch.setattr(invariants, "_frontier_plan", counted)
     routes, stopped = set(), 0
     for g in graphs:
-        alpha, _ = independence_number(g)
         p, q, _ = _seed(g)
         for ties, solve, args in ((True, toughness, ()), (False, is_t_tough, (Fraction(p, q),))):
             placed.clear()
             steps = _route(solve, g, *args)
-            assert steps == _full_ordering_route(g, alpha, p, q, ties), g.edges()
+            assert steps == _full_ordering_route(g, p, q, ties), g.edges()
             routes.add(steps is not None)
             stopped += 0 < len(placed) < g.n
     assert routes == {True, False}
@@ -432,22 +431,21 @@ def test_is_t_tough_route_matches_the_recomputed_rule():
     graphs += enumerate_regular(10, 4) + enumerate_regular(12, 3)
     routes = set()
     for g in graphs:
-        alpha, _ = independence_number(g)
         for t in (Fraction(2), Fraction(3, 2)):
             steps = _route(is_t_tough, g, t)
-            assert steps == _full_ordering_route(g, alpha, t.numerator, t.denominator,
-                                                 False), (g.edges(), t)
+            assert steps == _full_ordering_route(g, t.numerator, t.denominator, False), \
+                (g.edges(), t)
             routes.add(steps is not None)
     assert routes == {True, False}
 
 
 def test_sweep_sizes_rereads_need():
     # need is read afresh at each size, so a bar raised mid-plan stops the
-    # plan at the first size whose raised k no longer fits under the cap
-    assert [s for s, _ in _sweep_sizes(20, 10, lambda s: s)] == list(range(1, 11))
+    # plan at the first size whose raised k no longer fits under n - s
+    assert [s for s, _ in _sweep_sizes(15, lambda s: s)] == list(range(1, 8))
     bar = [1]
     plan = []
-    for s, k in _sweep_sizes(20, 10, lambda s: s * bar[0]):
+    for s, k in _sweep_sizes(15, lambda s: s * bar[0]):
         plan.append((s, k))
         if s == 2:
             bar[0] = 3
@@ -458,20 +456,19 @@ def test_toughness_sweep_estimate_counts_the_tie_size(monkeypatch):
     # toughness's sweep also scans the size whose cap only ties the seed
     # ratio; is_t_tough's stops before it, since a violation is strict: at
     # ratio 1/2 one needs ceil(2s) components and the other floor(2s) + 1
-    assert list(_sweep_sizes(20, 10, lambda s: 2 * s)) == [(1, 2), (2, 4), (3, 6), (4, 8),
-                                                           (5, 10)]
-    assert list(_sweep_sizes(20, 10, lambda s: 2 * s + 1)) == [(1, 3), (2, 5), (3, 7), (4, 9)]
-    # n = 22, kappa = 1, alpha = 10: the seed {14} has ratio 1/2, and the tie
-    # size 5 (26 334 of 35 442 subsets) tips the estimate to the DP, which
-    # finds the smaller optimal mask {3} (forced: DP 1.2-1.3 ms, sweep 3.8-4.6 ms)
-    g = parse_graph6("U??G?d?_OE?c?@I?A?D?_??G??@?G?_?g?a@Oa??")
-    alpha, _ = independence_number(g)
+    assert list(_sweep_sizes(15, lambda s: 2 * s)) == [(1, 2), (2, 4), (3, 6), (4, 8), (5, 10)]
+    assert list(_sweep_sizes(15, lambda s: 2 * s + 1)) == [(1, 3), (2, 5), (3, 7), (4, 9)]
+    # n = 18, kappa = 1: the seed {14} has ratio 1/2, and the tie size 6
+    # (18 564 of 31 179 subsets) tips the estimate to the DP, which finds the
+    # smaller optimal mask {1} (forced, best of 5: DP 1.3 ms, sweep 0.24 ms;
+    # the C(n, s) estimate is loose)
+    g = parse_graph6("QWHOGC?I?BE?_@CAG?C@_??IS??")
     tables = _union_tables(g.adj, g.n)
     seed = _isolation_seed(g, tables)
-    assert (g.n, connectivity(g).kappa, alpha, seed) == (22, 1, 10, (1, 2, 1 << 14))
+    assert (g.n, connectivity(g).kappa, seed) == (18, 1, (1, 2, 1 << 14))
     assert _dp_chosen(g)
     assert _route(is_t_tough, g, Fraction(1, 2)) is None
-    swept = _sweep_value(g, tables, alpha, seed)
+    swept = _sweep_value(g, tables, seed)
 
     def no_sweep(*args):
         raise AssertionError("toughness swept a graph its cost rule sends to the DP")
@@ -479,21 +476,22 @@ def test_toughness_sweep_estimate_counts_the_tie_size(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(invariants, "_sweep_value", no_sweep)
         cert = toughness(g)
-    assert swept == (1, 2, cert.witness_cut) == (1, 2, 1 << 3)
-    # n = 20, kappa = 1, alpha = 10: the tie size 5 is most of the sweep
-    # estimate, but the sweep runs (forced: DP 3.2-4.8 ms, sweep 0.4-0.5 ms); both
-    # paths give the same certificate
+    assert swept == (1, 2, cert.witness_cut) == (1, 2, 1 << 1)
+    # n = 20, kappa = 1: from ratio 1/2 the plan has no tie size and runs to
+    # s = 6, most of the sweep estimate (38 760 of 60 459 subsets), but the
+    # sweep runs (forced: DP 3.2-4.8 ms, sweep 0.4-0.5 ms); both paths give
+    # the same certificate
     g = parse_graph6("S?SC?GRcXPOhAAOgKC??_gACGW_@_A???")
-    alpha, _ = independence_number(g)
     tables = _union_tables(g.adj, g.n)
     seed = _isolation_seed(g, tables)
-    assert (g.n, connectivity(g).kappa, alpha, seed[:2]) == (20, 1, 10, (1, 2))
+    assert (g.n, connectivity(g).kappa, seed[:2]) == (20, 1, (1, 2))
+    assert not _dp_chosen(g)
     cert = toughness(g)
     assert toughness_json(cert) == {
         "invariant": "toughness", "value": {"num": 1, "den": 2}, "witness": [1], "components": 2,
     }
     steps, _ = _plan(g)
-    assert _dinkelbach(steps, *seed[:2]) == _sweep_value(g, tables, alpha, seed) == (1, 2, 0b10)
+    assert _dinkelbach(steps, *seed[:2]) == _sweep_value(g, tables, seed) == (1, 2, 0b10)
 
 
 def test_cost_rule_skips_the_ordering_for_small_sweeps(monkeypatch):
@@ -527,6 +525,21 @@ def test_state_ceiling_counts_labels_with_capped_count(monkeypatch):
         assert _frontier_dp(steps, s, k) is not None
         monkeypatch.setattr(invariants, "_DP_MAX_STATES", peak - 1)
         assert _frontier_dp(steps, s, k) is None
+
+
+def test_toughness_path_never_computes_alpha(monkeypatch):
+    # both solvers stop their plans at k > n - s, so neither needs the
+    # independence number, on either route
+    def no_alpha(g):
+        raise AssertionError("independence_number called on the toughness path")
+
+    graphs = [(build_jm(m).graph, None) for m in range(3, 14)]
+    graphs += [(parse_graph6(g6), None) for g6 in sorted(CORPUS)[::8]]
+    graphs += [(g, Fraction(2)) for g in enumerate_regular(10, 4)]
+    monkeypatch.setattr(invariants, "independence_number", no_alpha)
+    for g, t in graphs:
+        cert = toughness(g)
+        assert is_t_tough(g, cert.value if t is None else t)[0] == (t is None or cert.value >= t)
 
 
 def test_is_t_tough_dp_path_keeps_sweep_witness():
@@ -591,7 +604,8 @@ def test_toughness_component_count_work_is_pinned(monkeypatch):
     # the exact work of the walk choice and the route, free of timing noise:
     # 7 210 calls when every walk was measured against C(n, s); and the
     # forcing-lemma seeds listed, afresh for each size swept (1 138 when
-    # one listing per k served every size up to s * k / (k - 1))
+    # one listing per k served every size up to s * k / (k - 1)); (2 345, 716)
+    # when alpha capped the plan, which kept two of these graphs on the sweep
     graphs = [build_jm(m).graph for m in range(3, 14)]
     rng = random.Random(2026)
     graphs += [random_connected_graph(n, rng, p=p)
@@ -603,7 +617,7 @@ def test_toughness_component_count_work_is_pinned(monkeypatch):
                         lambda g, s, k: listed.append(representatives(g, s, k)) or listed[-1])
     for g in graphs:
         toughness(g)
-    assert (sum(calls.values()), sum(map(len, listed))) == (2345, 716)
+    assert (sum(calls.values()), sum(map(len, listed))) == (2295, 665)
 
 
 def test_is_t_tough_sizes_below_kappa_cost_at_most_n_counts(rng, monkeypatch):
