@@ -103,13 +103,6 @@ def _count_components(alive: int, tables: list[list[int]]) -> int:
     return cnt
 
 
-def _completions(base: int, free: int, need: int):
-    """``base`` plus each ``need``-subset of the mask ``free``, in combinations order."""
-    if not need:
-        return (base,)
-    return (sum(w, base) for w in combinations([1 << v for v in bits(free)], need))
-
-
 def _seed_cuts(seeds: list[tuple[int, int]], s: int):
     """X plus each (s - |X|)-subset of ``free``, for each seed (X, free).
 
@@ -117,8 +110,11 @@ def _seed_cuts(seeds: list[tuple[int, int]], s: int):
     """
     for base, free in seeds:
         need = s - base.bit_count()
-        if need >= 0:
-            yield from _completions(base, free, need)
+        if not need:
+            yield base
+        elif need > 0:
+            for w in combinations([1 << v for v in bits(free)], need):
+                yield sum(w, base)
 
 
 def _proposals(seeds: list[tuple[int, int]], s: int) -> int:

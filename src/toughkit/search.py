@@ -185,9 +185,8 @@ def _swap_beats(rows: list[int], newrow: int) -> bool:
 
 def _tie_dfs(adj, want, verts, pars, placed: list[int], mask: int, node: int) -> bool:
     """Walk the labelings that extend ``placed`` while they tie the identity;
-    False as soon as one beats it.  Unless ``verts`` is None, every tied
-    extension is added to the trie under ``node``, the trie node of
-    ``placed``."""
+    False as soon as one beats it.  Every tied extension is added to the
+    trie under ``node``, the trie node of ``placed``."""
     n = len(adj)
     depth = len(placed)
     if depth == n:
@@ -203,11 +202,9 @@ def _tie_dfs(adj, want, verts, pars, placed: list[int], mask: int, node: int) ->
         if col > w:
             return False  # found a strictly larger labeling
         if col == w:
-            child = -1
-            if verts is not None:
-                child = len(verts[depth + 1])
-                verts[depth + 1].append(v)
-                pars[depth + 1].append(node)
+            child = len(verts[depth + 1])
+            verts[depth + 1].append(v)
+            pars[depth + 1].append(node)
             placed.append(v)
             ok = _tie_dfs(adj, want, verts, pars, placed, mask | 1 << v, child)
             placed.pop()
@@ -227,7 +224,7 @@ def _tied_prefixes(rows: list[int], order: int):
     return verts, pars, want
 
 
-def _child_is_canonical(grown: list[int], want, verts, pars, record: bool) -> bool:
+def _child_is_canonical(grown: list[int], want, verts, pars) -> bool:
     """Is ``grown``, a canonical parent P plus vertex k, canonical too?
 
     The trie holds P's tied prefixes, and ``want`` the child's identity
@@ -237,8 +234,8 @@ def _child_is_canonical(grown: list[int], want, verts, pars, record: bool) -> bo
     tied prefix p of P.  Then k's column over p beats ``want[d]`` (reject),
     falls below it, or ties it, and the ordinary walk goes on from
     p + (k,).  So P's prefixes are scanned first, and only the ties are
-    walked.  With ``record`` the child's own new tied prefixes, those that
-    hold k, are added to the trie.
+    walked.  The child's own new tied prefixes, those that hold k, are
+    added to the trie.
     """
     k = len(grown) - 1
     newrow = grown[k]
@@ -263,12 +260,10 @@ def _child_is_canonical(grown: list[int], want, verts, pars, record: bool) -> bo
             node = pars[e][node]
         placed.reverse()
         placed.append(k)
-        node = -1
-        if record:
-            node = len(verts[d + 1])
-            verts[d + 1].append(k)
-            pars[d + 1].append(i)
-        if not _tie_dfs(grown, want, verts if record else None, pars, placed, mask, node):
+        node = len(verts[d + 1])
+        verts[d + 1].append(k)
+        pars[d + 1].append(i)
+        if not _tie_dfs(grown, want, verts, pars, placed, mask, node):
             return False
     return True
 
@@ -304,7 +299,6 @@ def _descend(rows: list[int], cands: list[int], trie, order: int, n: int, r: int
     if k == order:
         out.append((rows, cands))
         return
-    record = k + 1 < order  # a leaf's tied prefixes are never read
     sizes = [len(level) for level in verts]
     for newrow in cands:
         grown = [row | (newrow >> v & 1) << k for v, row in enumerate(rows)]
@@ -320,12 +314,11 @@ def _descend(rows: list[int], cands: list[int], trie, order: int, n: int, r: int
         for v in range(k):
             col = col << 1 | newrow >> v & 1
         want.append(col)
-        if _child_is_canonical(grown, want, verts, pars, record):
+        if _child_is_canonical(grown, want, verts, pars):
             _descend(grown, grown_cands, trie, order, n, r, out)
         want.pop()
-        if record:
-            for vs, ps, size_d in zip(verts, pars, sizes):
-                del vs[size_d:], ps[size_d:]
+        for vs, ps, size_d in zip(verts, pars, sizes):
+            del vs[size_d:], ps[size_d:]
 
 
 def _subtrees(task) -> list[tuple[list[int], list[int]]]:

@@ -1,5 +1,6 @@
 """Canonical forms, isomorph-free enumeration, and the census pipeline."""
 
+import copy
 import hashlib
 import json
 import os
@@ -41,9 +42,11 @@ from toughkit.search import (
     enumerate_regular,
     run_census,
     _child_is_canonical,
+    _descend,
     _extensions,
     _swap_beats,
     _tied_prefixes,
+    _viable,
 )
 from toughkit.cli import main
 from toughkit.formats import parse_graph6, serialize_graph6
@@ -464,12 +467,10 @@ def test_parent_check_matches_full_check(n, r):
                 child_want = want + [int("".join(str(newrow >> v & 1)
                                                  for v in range(k)), 2)]
                 canonical = _is_canonical(grown)
-                assert _child_is_canonical(grown, child_want, verts, pars,
-                                           False) == canonical, grown
                 child_verts = [vs.copy() for vs in verts]
                 child_pars = [ps.copy() for ps in pars]
                 assert _child_is_canonical(grown, child_want, child_verts,
-                                           child_pars, True) == canonical, grown
+                                           child_pars) == canonical, grown
                 if not canonical:
                     rejected += 1
                     continue
@@ -485,6 +486,26 @@ def test_parent_check_matches_full_check(n, r):
     assert len([g for g, _ in level if is_connected(Graph(n, tuple(g)))]) == len(
         enumerate_regular(n, r))
     assert accepted > 0 and (rejected > 0 or n == r + 1)  # K_n rejects no candidate
+
+
+@pytest.mark.parametrize("n,r", [(8, 3), (9, 4)])
+def test_descend_leaves_the_trie_as_it_found_it(n, r):
+    # every canonicity check records the child's tied prefixes, a leaf's
+    # included, so _descend must cut the trie back after each candidate;
+    # grow a few canonical parents of each order to the leaves and compare
+    # their tries with copies taken before
+    leaves = 0
+    level = [[0]]
+    while len(level[0]) < n - 1:
+        level = [grown for rows in level for grown in _canonical_children(rows, n, r)]
+        for rows in level[:3]:
+            trie = _tied_prefixes(rows, n)
+            before = copy.deepcopy(trie)
+            out = []
+            _descend(rows, _viable(rows, n, r), trie, n, n, r, out)
+            assert trie == before, rows
+            leaves += len(out)
+    assert leaves > 0
 
 
 # ---------------------------------------------------------------------------
