@@ -65,41 +65,25 @@ class StarInstance:
 
 
 # ---------------------------------------------------------------------------
-# component counting tuned for the subset sweeps
+# component counting for the subset sweeps
 
-def _union_tables(adj: tuple[int, ...], n: int) -> list[list[int]]:
-    # tables[c][byte] = union of neighborhoods of the byte's vertices in chunk c;
-    # the last chunk's table stops at its width, which no mask of g passes
-    tables = []
-    for base in range(0, n, 8):
-        tbl = [0]
-        for v in range(base, min(base + 8, n)):
-            row = adj[v]
-            tbl += [x | row for x in tbl]
-        tables.append(tbl)
-    return tables
-
-
-def _count_components(alive: int, tables: list[list[int]]) -> int:
+def _count_components(alive: int, adj: tuple[int, ...]) -> int:
+    """Components of the subgraph induced on ``alive``, one breadth-first
+    search from its least unvisited vertex at a time; a search stops once
+    nothing of ``alive`` is left unvisited."""
     cnt = 0
-    rem = alive
-    while rem:
+    while alive:
         cnt += 1
-        comp = rem & -rem
-        frontier = comp
-        while frontier:
+        frontier = alive & -alive
+        alive ^= frontier
+        while frontier and alive:
             nb = 0
-            f = frontier
-            ti = 0
-            while f:
-                byte = f & 255
-                if byte:
-                    nb |= tables[ti][byte]
-                f >>= 8
-                ti += 1
-            frontier = nb & rem & ~comp
-            comp |= frontier
-        rem &= ~comp
+            while frontier:  # highest bit first: cheaper than isolating f & -f
+                v = frontier.bit_length() - 1
+                nb |= adj[v]
+                frontier ^= 1 << v
+            frontier = nb & alive
+            alive ^= frontier
     return cnt
 
 
@@ -159,7 +143,7 @@ def _representatives(g: Graph, s: int, k: int) -> list[tuple[int, int]]:
     return out
 
 
-def _size_cuts(g: Graph, tables: list[list[int]], s: int, k: int):
+def _size_cuts(g: Graph, s: int, k: int):
     """(S, c) for the size-s sets S leaving c >= k components, each at least once.
 
     Two walks can propose the sets, and only here are components counted.
@@ -179,8 +163,8 @@ def _size_cuts(g: Graph, tables: list[list[int]], s: int, k: int):
         if _proposals(grown, s) <= work:
             # a cut-set with several small components is grown once per component
             cuts = set(_seed_cuts(grown, s))
-    full = g.full_mask
-    return ((x, c) for x in cuts if (c := _count_components(full & ~x, tables)) >= k)
+    full, adj = g.full_mask, g.adj
+    return ((x, c) for x in cuts if (c := _count_components(full & ~x, adj)) >= k)
 
 
 def _beats(s: int, k: int, x: int, best: tuple[int, int, int]) -> bool:
@@ -204,23 +188,22 @@ def toughness(g: Graph):
         return ToughnessCertificate(Fraction(0), 0, len(comps))
     if g.is_complete():
         return INFINITE
-    tables = _union_tables(g.adj, g.n)
-    seed = _isolation_seed(g, tables)
+    seed = _isolation_seed(g)
     steps = _dp_steps(g, _sweep_sizes(g.n, lambda s: -(-s * seed[1] // seed[0])))
     found = None if steps is None else _dinkelbach(steps, seed[0], seed[1])
     if found is None:
-        found = _sweep_value(g, tables, seed)
+        found = _sweep_value(g, seed)
     s, k, witness = found
     return ToughnessCertificate(Fraction(s, k), witness, k)
 
 
-def _isolation_seed(g: Graph, tables: list[list[int]]) -> tuple[int, int, int]:
+def _isolation_seed(g: Graph) -> tuple[int, int, int]:
     """Warm-start (|S|, k, S): the first isolating cut N(v) by ratio, then mask."""
     full = g.full_mask
     best = None
     for v in range(g.n):
         cut = g.adj[v]
-        k = _count_components(full & ~cut, tables)
+        k = _count_components(full & ~cut, g.adj)
         if k >= 2 and (best is None or _beats(cut.bit_count(), k, cut, best)):
             best = (cut.bit_count(), k, cut)
     # connected non-complete: isolating some vertex always leaves >= 2 parts
@@ -245,8 +228,7 @@ def _sweep_sizes(n: int, need):
         yield s, k
 
 
-def _sweep_value(g: Graph, tables: list[list[int]],
-                 best: tuple[int, int, int]) -> tuple[int, int, int]:
+def _sweep_value(g: Graph, best: tuple[int, int, int]) -> tuple[int, int, int]:
     """Size-major sweep for the first cut-set in (ratio, mask) order.
 
     At size s only cut-sets leaving at least ceil(s * best_k / best_s)
@@ -254,7 +236,7 @@ def _sweep_value(g: Graph, tables: list[list[int]],
     smaller optimal mask.  The plan reads that need from the best so far.
     """
     for s, k in _sweep_sizes(g.n, lambda s: -(-s * best[1] // best[0])):
-        for x, c in _size_cuts(g, tables, s, k):
+        for x, c in _size_cuts(g, s, k):
             if _beats(s, c, x, best):
                 best = (s, c, x)
     return best
@@ -471,9 +453,8 @@ def is_t_tough(g: Graph, t) -> tuple[bool, VertexSet | None]:
         found = _frontier_dp(steps, p, q)
         if found is not None and found[0] >= 0:
             return True, None
-    tables = _union_tables(g.adj, g.n)
     for s, k in plan:
-        witness = min((x for x, _ in _size_cuts(g, tables, s, k)), default=None)
+        witness = min((x for x, _ in _size_cuts(g, s, k)), default=None)
         if witness is not None:
             return False, witness
     return True, None

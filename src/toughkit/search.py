@@ -402,6 +402,8 @@ class SearchSpec:
             raise ValueError("claw_free and has_claw are mutually exclusive")
         object.__setattr__(self, "predicates", preds)
         _check_degree(self.n, self.r)
+        # survivors carry canonical forms; checked here, before any input is read
+        _check_canonical_order(self.n)
 
 
 @dataclass
@@ -463,10 +465,9 @@ def run_census(spec: SearchSpec, stream=None, workers: int = 1) -> CensusResult:
     number and skipped).  One pool of ``workers`` processes serves both the
     enumeration and the pipeline.  Results are independent of worker count:
     counts are sums and survivors are sorted by canonical form.  Survivors
-    carry canonical forms, so n above the canonical-form cap raises
-    EnvelopeError for either source before any graph is read.
+    carry canonical forms, so a spec with n above the canonical-form cap
+    cannot be built (EnvelopeError), for either source.
     """
-    _check_canonical_order(spec.n)
     res = CensusResult(spec=spec, counts={"regular": 0})
     res.counts.update((p, 0) for p in PREDICATES if p in spec.predicates)
     graphs: list[Graph] = []

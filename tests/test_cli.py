@@ -483,6 +483,20 @@ def test_stream_census_envelope_does_not_depend_on_the_data(capsys, monkeypatch)
         assert err.startswith("error: envelope:")
 
 
+def test_stream_census_envelope_is_checked_before_stdin_is_read(capsys, monkeypatch):
+    # the spec refuses n = 13 before cmd_census reads the stream, so a
+    # slow or endless stdin cannot hold the exit back
+    class Unread:
+        def read(self, *args):
+            raise AssertionError("stdin read past the envelope")
+
+    monkeypatch.setattr(sys, "stdin", Unread())
+    code, out, err = run_cli(capsys, "census", "--stdin", "--n", "13", "--r", "4",
+                             "--workers", "1")
+    assert (code, out) == (ENVELOPE, "")
+    assert err.startswith("error: envelope:")
+
+
 def test_census_exclusive_claw_flags(capsys):
     code, _, err = run_cli(capsys, "census", "--n", "8", "--r", "4",
                            "--claw-free", "--has-claw", "--workers", "1")

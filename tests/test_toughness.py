@@ -4,6 +4,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 from pathlib import Path
 
@@ -34,6 +35,7 @@ from toughkit.generators import (
 )
 from toughkit.graphs import EnvelopeError, components
 from toughkit.invariants import (
+    _count_components,
     _dinkelbach,
     _frontier_dp,
     _frontier_plan,
@@ -44,7 +46,6 @@ from toughkit.invariants import (
     _size_cuts,
     _sweep_sizes,
     _sweep_value,
-    _union_tables,
     toughness_json,
 )
 from toughkit.search import enumerate_regular
@@ -231,11 +232,6 @@ def test_next_rational_fails(rng):
 # ---------------------------------------------------------------------------
 # frontier DP value path
 
-def _seed(g):
-    """The isolation seed, with the union tables toughness() builds for it."""
-    return _isolation_seed(g, _union_tables(g.adj, g.n))
-
-
 def _plan(g):
     """The whole greedy ordering, as (steps, widths)."""
     pairs = list(_frontier_plan(g))
@@ -245,7 +241,7 @@ def _plan(g):
 def _dp_result(g):
     """(value, witness, k) from Dinkelbach's iteration on the DP alone."""
     steps, _ = _plan(g)
-    s, k, witness = _dinkelbach(steps, *_seed(g)[:2])
+    s, k, witness = _dinkelbach(steps, *_isolation_seed(g)[:2])
     return Fraction(s, k), witness, k
 
 
@@ -308,10 +304,9 @@ def test_dp_matches_sweep_beyond_the_oracle_range(rng):
               None) for _ in range(40)]
     cases += [(parse_graph6(g6), want) for g6, want in WIDE_GRAPHS.items()]
     for g, want in cases:
-        tables = _union_tables(g.adj, g.n)
-        seed = _isolation_seed(g, tables)
+        seed = _isolation_seed(g)
         steps, _ = _plan(g)
-        swept = _sweep_value(g, tables, seed)
+        swept = _sweep_value(g, seed)
         assert _dinkelbach(steps, *seed[:2]) == swept, g.edges()
         assert want is None or swept == want, g.edges()
 
@@ -412,7 +407,7 @@ def test_ordering_stops_early_without_moving_the_route(rng, monkeypatch):
     monkeypatch.setattr(invariants, "_frontier_plan", counted)
     routes, stopped = set(), 0
     for g in graphs:
-        p, q, _ = _seed(g)
+        p, q, _ = _isolation_seed(g)
         for ties, solve, args in ((True, toughness, ()), (False, is_t_tough, (Fraction(p, q),))):
             placed.clear()
             steps = _route(solve, g, *args)
@@ -463,12 +458,11 @@ def test_toughness_sweep_estimate_counts_the_tie_size(monkeypatch):
     # smaller optimal mask {1} (forced, best of 5: DP 1.3 ms, sweep 0.24 ms;
     # the C(n, s) estimate is loose)
     g = parse_graph6("QWHOGC?I?BE?_@CAG?C@_??IS??")
-    tables = _union_tables(g.adj, g.n)
-    seed = _isolation_seed(g, tables)
+    seed = _isolation_seed(g)
     assert (g.n, connectivity(g).kappa, seed) == (18, 1, (1, 2, 1 << 14))
     assert _dp_chosen(g)
     assert _route(is_t_tough, g, Fraction(1, 2)) is None
-    swept = _sweep_value(g, tables, seed)
+    swept = _sweep_value(g, seed)
 
     def no_sweep(*args):
         raise AssertionError("toughness swept a graph its cost rule sends to the DP")
@@ -482,8 +476,7 @@ def test_toughness_sweep_estimate_counts_the_tie_size(monkeypatch):
     # sweep runs (forced: DP 3.2-4.8 ms, sweep 0.4-0.5 ms); both paths give
     # the same certificate
     g = parse_graph6("S?SC?GRcXPOhAAOgKC??_gACGW_@_A???")
-    tables = _union_tables(g.adj, g.n)
-    seed = _isolation_seed(g, tables)
+    seed = _isolation_seed(g)
     assert (g.n, connectivity(g).kappa, seed[:2]) == (20, 1, (1, 2))
     assert not _dp_chosen(g)
     cert = toughness(g)
@@ -491,7 +484,7 @@ def test_toughness_sweep_estimate_counts_the_tie_size(monkeypatch):
         "invariant": "toughness", "value": {"num": 1, "den": 2}, "witness": [1], "components": 2,
     }
     steps, _ = _plan(g)
-    assert _dinkelbach(steps, *seed[:2]) == _sweep_value(g, tables, seed) == (1, 2, 0b10)
+    assert _dinkelbach(steps, *seed[:2]) == _sweep_value(g, seed) == (1, 2, 0b10)
 
 
 def test_cost_rule_skips_the_ordering_for_small_sweeps(monkeypatch):
@@ -509,7 +502,7 @@ def test_state_ceiling_falls_back_to_the_sweep(monkeypatch):
     want = toughness(g)
     monkeypatch.setattr(invariants, "_DP_MAX_STATES", 10)
     steps, _ = _plan(g)
-    assert _dinkelbach(steps, *_seed(g)[:2]) is None
+    assert _dinkelbach(steps, *_isolation_seed(g)[:2]) is None
     assert toughness(g) == want
     assert is_t_tough(g, Fraction(11, 6)) == (True, None)
 
@@ -520,7 +513,7 @@ def test_state_ceiling_counts_labels_with_capped_count(monkeypatch):
     for g, peak in ((build_jm(5).graph, 124), (build_jm(7).graph, 170),
                     (line_graph(petersen()), 386)):
         steps, _ = _plan(g)
-        s, k, _ = _seed(g)
+        s, k, _ = _isolation_seed(g)
         monkeypatch.setattr(invariants, "_DP_MAX_STATES", peak)
         assert _frontier_dp(steps, s, k) is not None
         monkeypatch.setattr(invariants, "_DP_MAX_STATES", peak - 1)
@@ -565,12 +558,11 @@ def test_forcing_lemma_walk_covers_every_separating_set(rng):
     for _ in range(100):
         n = rng.randrange(5, 13)
         g = random_connected_graph(n, rng, p=rng.choice([0.2, 0.35, 0.5, 0.7]))
-        tables = _union_tables(g.adj, n)
         for k in range(2, independence_number(g)[0] + 1):
             for s in range(1, n - 1):
                 want = {mask_of(c) for c in cutsets_naive(g, s, k)}
                 walked = set(_seed_cuts(_representatives(g, s, k), s))
-                counted = list(_size_cuts(g, tables, s, k))
+                counted = list(_size_cuts(g, s, k))
                 chosen = {x for x, _ in counted}
                 grown = set(_seed_cuts(_grown_seeds(g, s, k), s))
                 assert want <= walked, (g.edges(), s, k, want - walked)
@@ -581,19 +573,35 @@ def test_forcing_lemma_walk_covers_every_separating_set(rng):
                     (g.edges(), s, k, chosen ^ want)
 
 
+def test_count_components_matches_components(rng):
+    # the sweeps' kernel against graphs.components, on any alive set from
+    # empty to full, up to the graph6 limit and on J_21 (n = 62)
+    graphs = [build_jm(21).graph]
+    for n in range(1, 63):
+        for p in (0.05, 0.15, 0.3, 0.5, 0.7, 0.9):
+            graphs.append(from_edges(n, [e for e in combinations(range(n), 2) if rng.random() < p]))
+    for g in graphs:
+        n, full = g.n, g.full_mask
+        masks = [0, full] + [mask_of(v for v in range(n) if rng.random() < q)
+                             for q in (0.25, 0.5, 0.75, 0.95)]
+        for alive in masks:
+            assert _count_components(alive, g.adj) == len(components(g, full & ~alive)), \
+                (g.edges(), alive)
+
+
 def _spy_counts(monkeypatch):
     """Count _count_components calls, keyed by the size _size_cuts last took."""
     calls = {}
     size = [None]
     count, size_cuts = invariants._count_components, invariants._size_cuts
 
-    def spy_count(alive, tables):
+    def spy_count(alive, adj):
         calls[size[0]] = calls.get(size[0], 0) + 1
-        return count(alive, tables)
+        return count(alive, adj)
 
-    def spy_size_cuts(g, tables, s, k):
+    def spy_size_cuts(g, s, k):
         size[0] = s
-        return size_cuts(g, tables, s, k)
+        return size_cuts(g, s, k)
 
     monkeypatch.setattr(invariants, "_count_components", spy_count)
     monkeypatch.setattr(invariants, "_size_cuts", spy_size_cuts)
