@@ -96,15 +96,14 @@ def _seed_cuts(seeds: list[tuple[int, int]], s: int):
         need = s - base.bit_count()
         if not need:
             yield base
-        elif need > 0:
+        else:
             for w in combinations([1 << v for v in bits(free)], need):
                 yield sum(w, base)
 
 
 def _proposals(seeds: list[tuple[int, int]], s: int) -> int:
     """How many sets ``_seed_cuts(seeds, s)`` yields, repeats included."""
-    return sum(comb(free.bit_count(), need) for base, free in seeds
-               if (need := s - base.bit_count()) >= 0)
+    return sum(comb(free.bit_count(), s - base.bit_count()) for base, free in seeds)
 
 
 def _representatives(g: Graph, s: int, k: int) -> list[tuple[int, int]]:
@@ -136,7 +135,7 @@ def _representatives(g: Graph, s: int, k: int) -> list[tuple[int, int]]:
             else:
                 grow(cand & ~row, chosen | low, nbrs | row, now, left - 1)
 
-    for a in range(min(s + 1, g.n)):
+    for a in range(s + 1):
         # a is the least vertex outside S, so every vertex below it is in S
         row = adj[a]
         grow(full & ~row & -(2 << a), 1 << a, row, (1 << a) - 1, k - 1)
@@ -153,18 +152,18 @@ def _size_cuts(g: Graph, s: int, k: int):
     exactly what each would propose.  The forcing walk runs unless the
     growth walk proposes no more sets.  The growth seeds are only built
     when the forcing walk proposes more than n sets, because the growth
-    search starts from every vertex.
+    search starts from every vertex.  Repeats are kept, so a size costs
+    exactly the chosen walk's ``_proposals`` in component counts.  Needs
+    s <= n - 2, as ``_sweep_sizes`` ensures.
     """
-    forced = _representatives(g, s, k)
-    work = _proposals(forced, s)
-    cuts = _seed_cuts(forced, s)
-    if work > g.n:
+    seeds = _representatives(g, s, k)
+    if (work := _proposals(seeds, s)) > g.n:
         grown = _grown_seeds(g, s, k)
         if _proposals(grown, s) <= work:
-            # a cut-set with several small components is grown once per component
-            cuts = set(_seed_cuts(grown, s))
+            seeds = grown
     full, adj = g.full_mask, g.adj
-    return ((x, c) for x in cuts if (c := _count_components(full & ~x, adj)) >= k)
+    return ((x, c) for x in _seed_cuts(seeds, s)
+            if (c := _count_components(full & ~x, adj)) >= k)
 
 
 def _beats(s: int, k: int, x: int, best: tuple[int, int, int]) -> bool:

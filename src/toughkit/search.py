@@ -132,8 +132,9 @@ def _extensions(rows: list[int], n: int, r: int):
     r - deg(v) equal to s + 1 must join, one of deficit 1..s may, and k's
     own deficit r - c must lie in 0..s for c joiners.  The suffix then has
     r*s - D - r + 2c edge ends left to pair among its own vertices, D the
-    sum of the old deficits: at least 0, at most s(s - 1), and even, a
-    parity that no choice of c changes.  ``rows`` is the root ``[0]`` or
+    sum of the old deficits: at least 0, at most s(s - 1), and even: with
+    e edges on the placed vertices it is r(n - 2k - 2) + 2e + 2c, and
+    ``_check_degree`` rejects odd r*n.  ``rows`` is the root ``[0]`` or
     was grown by this generator, so every deficit is already in 0..s + 1.
     """
     s = n - len(rows) - 1
@@ -148,8 +149,6 @@ def _extensions(rows: list[int], n: int, r: int):
         elif d:
             optional.append(1 << v)
     base = r * s - total - r
-    if base % 2:
-        return
     need = forced.bit_count()
     lo = max(r - s, need, -base // 2)
     hi = min(r, need + len(optional), (s * (s - 1) - base) // 2)

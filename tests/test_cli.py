@@ -61,6 +61,14 @@ def test_gen_json_petersen(capsys):
     assert len(payload["edges"]) == 15
 
 
+def test_gen_jm_json_with_labels(capsys):
+    code, out, _ = run_cli(capsys, "gen", "jm", "--m", "3", "--labels", "--format", "json")
+    assert code == OK
+    payload = json.loads(out)
+    assert payload["names"] == ["a1", "a2", "a3", "b1", "b2", "b3", "c1", "c2"]
+    assert [tuple(e) for e in payload["edges"]] == build_jm(3).graph.edges()
+
+
 def test_gen_table(capsys):
     code, out, _ = run_cli(capsys, "gen", "cycle", "--n", "5",
                            "--format", "table")
@@ -184,6 +192,13 @@ def test_invariant_claws_json(capsys, monkeypatch):
     payload = json.loads(out)
     assert payload["count"] == 1
     assert payload["stars"] == [{"center": 0, "leaves": [1, 2, 3]}]
+
+
+def test_invariant_claws_table(capsys, monkeypatch):
+    feed_stdin(monkeypatch, serialize_graph6(star(3)) + "\n")
+    code, out, _ = run_cli(capsys, "invariant", "claws", "--stdin", "--format", "table")
+    assert code == OK
+    assert out == "claws: 1\n  center 0 leaves 1 2 3\n"
 
 
 def test_invariant_table_format(capsys, monkeypatch):
@@ -517,6 +532,28 @@ def test_census_table_format(capsys):
     assert "examined: 1" in out
     assert "complete graphs: 1" in out
     assert "survivors: 0" in out
+
+
+def test_census_table_lists_survivors_and_rejected_lines(capsys, monkeypatch):
+    feed_stdin(monkeypatch, "I{dQPcdBg\nbad\nD~{\n")
+    code, out, _ = run_cli(capsys, "census", "--n", "10", "--r", "4", "--stdin",
+                           "--format", "table", "--workers", "1")
+    assert code == OK
+    assert out.splitlines()[-3:] == [
+        "  I{dQPcdBg toughness=2/1 kappa=4 has_claw=True",
+        "line 2: truncated: expected 100 data bytes, got 2",
+        "line 3: expected order 10, got 5",
+    ]
+
+
+def test_census_table_complete_survivor(capsys, monkeypatch):
+    feed_stdin(monkeypatch, serialize_graph6(complete(5)) + "\n")
+    code, out, _ = run_cli(capsys, "census", "--n", "5", "--r", "4", "--stdin",
+                           "--format", "table", "--workers", "1")
+    assert code == OK
+    lines = out.splitlines()
+    assert "complete graphs: 1" in lines
+    assert lines[-1] == "  D~{ toughness=infinite kappa=4 has_claw=False"
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import pytest
 
 from toughkit import bits, build_jm, connectivity, from_edges
+from toughkit.formats import parse_graph6
 from toughkit.generators import complete, cycle, path, petersen, random_connected_graph, star
 from toughkit.graphs import components
 from toughkit.invariants import _disjoint_paths, connectivity_json
@@ -91,6 +92,18 @@ def test_pair_flow_and_separator_match_naive(rng):
                     want = (cap, None) if cap <= flow else (flow, cut)
                     assert _disjoint_paths(g.adj, s, t, cap) == want, (g.edges(), s, t, cap)
     assert pairs > 50
+
+
+@pytest.mark.parametrize("g6,s,t,want", [
+    ("T??A?O?G??`?N??LwO?GP@?G@O??A?@@??@?", 5, 17, (2, 528)),
+    ("V??G_??cG@@OA?`?C????_Q?BA?O___g@P???AI??GW?", 3, 21, (2, 66048)),
+], ids=["n21", "n23"])
+def test_pair_flow_cancels_a_path_through_its_own_exit(g6, s, t, want):
+    # on these pairs an augmenting path reaches an entry from its own exit,
+    # so that vertex gives up its path (``del pred[u]``); kept stale, the
+    # residual cut no longer matches the flow
+    g = parse_graph6(g6)
+    assert _disjoint_paths(g.adj, s, t, None) == separator_naive(g, s, t) == want
 
 
 def test_kappa_matches_networkx(rng):

@@ -41,6 +41,7 @@ from toughkit.invariants import (
     _frontier_plan,
     _grown_seeds,
     _isolation_seed,
+    _proposals,
     _representatives,
     _seed_cuts,
     _size_cuts,
@@ -613,7 +614,8 @@ def test_toughness_component_count_work_is_pinned(monkeypatch):
     # 7 210 calls when every walk was measured against C(n, s); and the
     # forcing-lemma seeds listed, afresh for each size swept (1 138 when
     # one listing per k served every size up to s * k / (k - 1)); (2 345, 716)
-    # when alpha capped the plan, which kept two of these graphs on the sweep
+    # when alpha capped the plan, which kept two of these graphs on the sweep;
+    # 2 295 counts while the growth walk's repeats were dropped before counting
     graphs = [build_jm(m).graph for m in range(3, 14)]
     rng = random.Random(2026)
     graphs += [random_connected_graph(n, rng, p=p)
@@ -625,7 +627,34 @@ def test_toughness_component_count_work_is_pinned(monkeypatch):
                         lambda g, s, k: listed.append(representatives(g, s, k)) or listed[-1])
     for g in graphs:
         toughness(g)
-    assert (sum(calls.values()), sum(map(len, listed))) == (2295, 665)
+    assert (sum(calls.values()), sum(map(len, listed))) == (2311, 665)
+
+
+def test_size_cuts_counts_exactly_the_chosen_walks_proposals(monkeypatch):
+    # the walk choice compares true costs: a size costs one component count
+    # per set the chosen walk proposes, repeats included, and the growth walk
+    # is chosen when the forcing walk proposes more than n sets and it no
+    # more; the plans are is_t_tough(g, 1)'s and, on the random graphs, the
+    # sweep's once its best is optimal
+    calls = _spy_counts(monkeypatch)
+    rng = random.Random(2036)
+    plans = [(build_jm(m).graph, lambda s: s + 1) for m in range(3, 14)]
+    for n in range(8, 19):
+        for p in (0.2, 0.35, 0.5, 0.7):
+            g = random_connected_graph(n, rng, p=p)
+            v = toughness(g).value
+            plans += [(g, lambda s: s + 1),
+                      (g, lambda s, v=v: -(-s * v.denominator // v.numerator))]
+    grown = 0
+    for g, need in plans:
+        for s, k in _sweep_sizes(g.n, need):
+            work = _proposals(_representatives(g, s, k), s)
+            if work > g.n and (w := _proposals(_grown_seeds(g, s, k), s)) <= work:
+                work, grown = w, grown + 1
+            calls.clear()
+            list(invariants._size_cuts(g, s, k))
+            assert calls.get(s, 0) == work, (g.edges(), s, k, calls, work)
+    assert grown
 
 
 def test_is_t_tough_sizes_below_kappa_cost_at_most_n_counts(rng, monkeypatch):
